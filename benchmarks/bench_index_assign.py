@@ -1,27 +1,17 @@
-"""Micro-benchmark: indexed assignment vs. the dense distance matrix.
+"""Micro-benchmark: the exact (c)DTW nearest-candidate search vs the dense matrix.
 
 Assignment (labeling ``n`` queries against ``k`` candidates) is the inner
-loop of k-means-style clustering and 1-NN classification. The
+loop of k-means-style clustering and 1-NN classification. Under (c)DTW
 :class:`repro.search.CentroidIndex` replaces the dense ``n x k`` scan
-with a three-tier route — admissible sketch bounds, a cheap proxy ranking,
-and a pair-listed exact tier — so only the pairs the bounds cannot
-discard are confirmed. This bench times both paths on workload shapes
-where the route matters:
+with a pruned one — PAA sketch bound, symmetric LB_Keogh, then
+early-abandoned wavefront confirmation of the survivors — so only the
+pairs the bounds cannot discard are confirmed. (Under every other metric
+the search *is* the dense matrix, so there is nothing to compare.)
 
-* **(c)DTW** — the expensive metric the index is built for: the PAA
-  sketch plus the vectorized LB_Keogh refine tier discard most pairs
-  before any wavefront runs;
-* **SBD (clustered)** — the honesty row: CBF classes share nearly
-  identical magnitude spectra, the spectral bound cannot separate them,
-  and the index degrades gracefully to ~dense speed via its escape
-  hatch instead of losing;
-* **SBD (diverse)** — spectrally heterogeneous traffic (mixed-frequency
-  sinusoids, random walks, noise) where the same bound does prune.
-
-Every exact row asserts ``argmins_identical`` against the dense argmin;
-approximate rows report *measured* recall at the default knobs. A final
-``one_nn`` row drives the other consumer — ``one_nn_classify`` over a
-labeled training set — through the same dense/exact/approx comparison.
+Every row asserts ``argmins_identical`` against the dense argmin and
+reports the per-tier prune rates. A final ``one_nn`` row drives the other
+consumer — ``one_nn_classify`` over a labeled training set, brute force
+vs ``lb_window=0.05`` — and asserts ``predictions_identical``.
 
 Timing protocol: the box this runs on shows ~2x wall-clock swings
 between back-to-back runs, so variants are interleaved round-robin
@@ -53,53 +43,31 @@ import numpy as np
 import pytest
 
 from repro.datasets import make_cbf
-from repro.distances import cross_distances, sbd_matrix
+from repro.distances import cross_distances
 from repro.preprocessing import zscore
 from repro.search import CentroidIndex
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_index.json"
 
-#: (name, metric, workload, k, n, m, reps). Ordered by growing n*k with the
-#: (c)DTW row — the metric the index targets — as the largest config.
+#: (name, metric, workload, k, n, m, reps), ordered by growing n*k.
 FULL_CONFIGS = [
     ("cdtw_small", "cdtw5", "cbf", 32, 300, 128, 3),
-    ("sbd_clustered", "sbd", "cbf", 32, 2000, 128, 5),
-    ("sbd_diverse", "sbd", "diverse", 64, 1000, 128, 5),
     ("cdtw_large", "cdtw5", "cbf", 96, 800, 128, 3),
 ]
 
 SMOKE_CONFIGS = [
     ("cdtw_small", "cdtw5", "cbf", 8, 40, 48, 2),
-    ("sbd_clustered", "sbd", "cbf", 8, 60, 48, 2),
-    ("sbd_diverse", "sbd", "diverse", 8, 60, 48, 2),
     ("cdtw_large", "cdtw5", "cbf", 12, 60, 48, 2),
 ]
 
 
-def make_workload(kind: str, k: int, n: int, m: int, seed: int):
-    """``(candidates, queries)`` for one bench row."""
+def make_workload(k: int, n: int, m: int, seed: int):
+    """``(candidates, queries)`` for one bench row: a shuffled CBF split."""
     rng = np.random.default_rng(seed)
     total = k + n
-    if kind == "cbf":
-        X, _ = make_cbf(-(-total // 3), m, rng)
-        X = X[rng.permutation(X.shape[0])[:total]]
-    else:  # spectrally diverse: sinusoids + random walks + noise
-        t = np.arange(m)
-        pool = []
-        for _ in range(total):
-            shape = rng.integers(3)
-            if shape == 0:
-                freq = rng.uniform(0.5, 20)
-                pool.append(
-                    np.sin(2 * np.pi * freq * t / m + rng.uniform(0, 6.28))
-                )
-            elif shape == 1:
-                pool.append(np.cumsum(rng.standard_normal(m)))
-            else:
-                pool.append(rng.standard_normal(m))
-        X = np.asarray(pool) + 0.05 * rng.standard_normal((total, m))
-    X = zscore(X)
+    X, _ = make_cbf(-(-total // 3), m, rng)
+    X = zscore(X[rng.permutation(X.shape[0])[:total]])
     return X[:k], X[k:]
 
 
@@ -131,33 +99,21 @@ def run_config(
     reps: int,
     seed: int = 7,
 ) -> dict:
-    C, Q = make_workload(workload, k, n, m, seed)
-    exact = CentroidIndex(C, metric=metric, mode="exact")
-    approx = CentroidIndex(C, metric=metric, mode="approx")
-
-    def dense() -> np.ndarray:
-        if metric == "sbd":
-            return sbd_matrix(Q, C)
-        return cross_distances(Q, C, metric=metric)
-
+    C, Q = make_workload(k, n, m, seed)
+    index = CentroidIndex(C, metric)
     state: Dict[str, np.ndarray] = {}
     timings = interleaved_minima(
         {
             "dense": lambda: state.__setitem__(
-                "ref", np.argmin(dense(), axis=1)
+                "ref", np.argmin(cross_distances(Q, C, metric=metric), axis=1)
             ),
             "exact": lambda: state.__setitem__(
-                "exact", exact.query_batch(Q)[0]
-            ),
-            "approx": lambda: state.__setitem__(
-                "approx", approx.query_batch(Q)[0]
+                "exact", index.query_batch(Q)[0]
             ),
         },
         reps,
     )
-    identical = bool(np.array_equal(state["exact"], state["ref"]))
-    recall = float(np.mean(state["approx"] == state["ref"]))
-    stats = exact.stats
+    stats = index.stats.as_dict()
     return {
         "config": name,
         "metric": metric,
@@ -173,15 +129,14 @@ def run_config(
             "speedup_vs_dense": round(
                 timings["dense"] / max(timings["exact"], 1e-9), 3
             ),
-            "argmins_identical": identical,
-            "sketch_prune_rate": round(stats.sketch_prune_rate, 4),
-        },
-        "approx": {
-            "total_s": round(timings["approx"], 4),
-            "speedup_vs_dense": round(
-                timings["dense"] / max(timings["approx"], 1e-9), 3
+            "argmins_identical": bool(
+                np.array_equal(state["exact"], state["ref"])
             ),
-            "recall": round(recall, 4),
+            **{
+                rate: round(stats[rate], 4)
+                for rate in ("lb_paa_rate", "lb_keogh_rate", "abandoned_rate",
+                             "prune_rate")
+            },
         },
     }
 
@@ -189,14 +144,14 @@ def run_config(
 def run_one_nn(
     k: int, n: int, m: int, reps: int, metric: str = "cdtw5", seed: int = 11
 ) -> dict:
-    """1-NN classification routed through the index vs. the dense scan.
+    """1-NN classification, brute force vs the lower-bound-pruned search.
 
     The candidate set is a labeled *training set* here, not centroids —
-    the other consumer of the router, with the same exactness contract.
+    the other consumer of the search, with the same exactness contract.
     """
     from repro.classification import one_nn_classify
 
-    train, queries = make_workload("cbf", k, n, m, seed)
+    train, queries = make_workload(k, n, m, seed)
     y_train = np.arange(k) % 3
     state: Dict[str, np.ndarray] = {}
     timings = interleaved_minima(
@@ -207,13 +162,7 @@ def run_one_nn(
             "exact": lambda: state.__setitem__(
                 "exact",
                 one_nn_classify(
-                    train, y_train, queries, metric=metric, index="exact"
-                ),
-            ),
-            "approx": lambda: state.__setitem__(
-                "approx",
-                one_nn_classify(
-                    train, y_train, queries, metric=metric, index="approx"
+                    train, y_train, queries, metric=metric, lb_window=0.05
                 ),
             ),
         },
@@ -235,15 +184,6 @@ def run_one_nn(
                 np.array_equal(state["exact"], state["ref"])
             ),
         },
-        "approx": {
-            "total_s": round(timings["approx"], 4),
-            "speedup_vs_dense": round(
-                timings["dense"] / max(timings["approx"], 1e-9), 3
-            ),
-            "label_agreement": round(
-                float(np.mean(state["approx"] == state["ref"])), 4
-            ),
-        },
     }
 
 
@@ -257,7 +197,7 @@ def run_benchmark(
     )
     largest = max(rows, key=lambda r: r["pairs"])
     report = {
-        "benchmark": "indexed assignment vs dense distance matrix",
+        "benchmark": "exact (c)DTW nearest-candidate search vs dense matrix",
         "timing": "interleaved round-robin, min over reps per variant",
         "configs": rows,
         "one_nn": one_nn,
@@ -265,18 +205,6 @@ def run_benchmark(
         "largest_config_exact_speedup": largest["exact"]["speedup_vs_dense"],
         "all_exact_argmins_identical": all(
             r["exact"]["argmins_identical"] for r in rows
-        ),
-        # The recall guarantee is scoped to clustered traffic — the
-        # workload approximate routing exists for. The diverse row's
-        # recall is reported raw: near-neighbor ranking among pure-noise
-        # rows survives no coarsening, and hiding that would oversell
-        # the approximate mode (use exact mode for unstructured data).
-        "min_approx_recall_clustered": min(
-            r["approx"]["recall"] for r in rows if r["workload"] == "cbf"
-        ),
-        "approx_recall_diverse": min(
-            (r["approx"]["recall"] for r in rows if r["workload"] != "cbf"),
-            default=None,
         ),
     }
     (OUTPUT if output is None else output).write_text(
@@ -290,11 +218,8 @@ def test_bench_index_full():
     """Full-size benchmark; writes BENCH_index.json at the repo root."""
     report = run_benchmark()
     assert report["all_exact_argmins_identical"]
-    # The headline: the largest workload is (c)DTW and the index must
-    # beat the dense scan clearly there.
-    assert report["largest_config"].startswith("cdtw")
+    # The headline: the pruned search must beat the dense scan clearly.
     assert report["largest_config_exact_speedup"] >= 3.0
-    assert report["min_approx_recall_clustered"] >= 0.99
     assert report["one_nn"]["exact"]["predictions_identical"]
 
 
@@ -302,11 +227,9 @@ def test_bench_index_smoke(tmp_path):
     """Scaled-down correctness pass of the benchmark harness itself."""
     report = run_benchmark(SMOKE_CONFIGS, output=tmp_path / "BENCH_index.json")
     assert report["all_exact_argmins_identical"]
-    assert report["largest_config"].startswith("cdtw")
     # Exactness holds at any size; speedups are only asserted full-size.
     for row in report["configs"]:
         assert row["exact"]["argmins_identical"]
-        assert 0.0 <= row["approx"]["recall"] <= 1.0
     assert report["one_nn"]["exact"]["predictions_identical"]
     assert (tmp_path / "BENCH_index.json").exists()
 
@@ -317,9 +240,11 @@ if __name__ == "__main__":
         import tempfile
 
         tmp = Path(tempfile.mkdtemp())
-        print(json.dumps(
-            run_benchmark(SMOKE_CONFIGS, output=tmp / "BENCH_index.json"),
-            indent=2,
-        ))
+        report = run_benchmark(SMOKE_CONFIGS, output=tmp / "BENCH_index.json")
     else:
-        print(json.dumps(run_benchmark(), indent=2))
+        report = run_benchmark()
+    print(json.dumps(report, indent=2))
+    exact = report["all_exact_argmins_identical"] and report["one_nn"]["exact"][
+        "predictions_identical"
+    ]
+    sys.exit(0 if exact else 1)

@@ -63,7 +63,6 @@ from .datasets import (
     make_ecg_five_days,
 )
 from .distances import (
-    NeighborEngine,
     PruningStats,
     cascade,
     cdtw,
@@ -116,7 +115,7 @@ from .parallel import (
     register_executor,
 )
 from .preprocessing import minmax_scale, zscore
-from .search import CentroidIndex, IndexStats
+from .search import CentroidIndex
 from .serving import (
     CentroidMaintainer,
     DriftCycleReport,
@@ -175,12 +174,10 @@ __all__ = [
     "lb_paa",
     "cascade",
     "keogh_envelope",
-    "NeighborEngine",
     "PruningStats",
     "pruned_medoid",
-    # candidate routing
+    # nearest-candidate search
     "CentroidIndex",
-    "IndexStats",
     "ksc_distance",
     "get_distance",
     "list_distances",

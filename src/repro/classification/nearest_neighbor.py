@@ -5,7 +5,7 @@ one-nearest-neighbor classifier, which is simple, parameter-free, and
 deterministic. This module provides:
 
 * :func:`one_nn_classify` / :func:`one_nn_accuracy` — train/test 1-NN with
-  any registered or callable distance, optionally pruned with LB_Keogh
+  any registered or callable distance, optionally pruned with lower bounds
   (the paper's ``cDTW_LB`` configurations);
 * :func:`leave_one_out_accuracy` — LOO 1-NN over a training set;
 * :func:`tune_cdtw_window` — the paper's ``cDTWopt`` protocol: pick the
@@ -22,8 +22,9 @@ from .._validation import as_dataset
 from ..distances.base import DistanceFn, make_cdtw
 from ..distances.dtw import dtw
 from ..distances.matrix import cross_distances
-from ..distances.prune import NeighborEngine, PruningStats
+from ..distances.prune import PruningStats
 from ..exceptions import EmptyInputError, ShapeMismatchError
+from ..search.index import CentroidIndex
 
 __all__ = [
     "one_nn_classify",
@@ -51,7 +52,6 @@ def one_nn_classify(
     stats: Optional[PruningStats] = None,
     n_jobs: Optional[int] = None,
     backend: Optional[str] = None,
-    index: Optional[str] = None,
 ) -> np.ndarray:
     """Predict a label for each test series from its nearest training series.
 
@@ -64,28 +64,23 @@ def one_nn_classify(
     metric:
         Registered distance name or callable.
     lb_window:
-        When set, the search runs through the pruned
-        :class:`repro.distances.NeighborEngine`: training-set envelopes are
-        precomputed once per call, candidates are screened with the
-        LB_Kim → LB_Yi → LB_Keogh cascade at this Sakoe-Chiba window, and
-        survivors are confirmed with early-abandoning (c)DTW — the paper's
-        ``_LB`` configurations. Predictions are bit-identical to the
-        brute-force path. Only sound when ``metric`` is (c)DTW with a
-        window no wider than ``lb_window``.
+        When set, the search runs through the exact, lower-bound-pruned
+        :class:`repro.search.CentroidIndex` built over the training set
+        (PAA sketch, LB_Keogh at the wider of this Sakoe-Chiba window and
+        the metric's own, early-abandoning (c)DTW) — the paper's ``_LB``
+        configurations. Predictions are bit-identical to the brute-force
+        path. Only valid for (c)DTW metrics: any other metric raises
+        :class:`~repro.exceptions.InvalidParameterError`, because the
+        bounds are not admissible for it. ``None`` (default) runs the
+        brute-force search, the paper's unpruned rows.
     stats:
         Optional :class:`repro.distances.PruningStats` accumulator the
         pruned search's per-tier counters are merged into.
     n_jobs, backend:
-        Parallel execution of the pruned queries (see
-        :mod:`repro.parallel`); each query prunes independently, so results
-        are deterministic in the worker count. Ignored on the brute path.
-    index:
-        ``None`` (default), ``"exact"``, or ``"approx"`` — route the 1-NN
-        search through a :class:`~repro.search.CentroidIndex` built over
-        the training set. Requires an SBD or (c)DTW metric; combine with
-        ``lb_window`` to widen the (c)DTW refine envelope. Exact routing
-        returns bit-identical predictions; router counters merge into
-        ``stats`` when it is an :class:`~repro.search.IndexStats`.
+        Parallel execution of the brute-force distance matrix (see
+        :mod:`repro.parallel`); results are identical for any worker
+        count. The pruned search is vectorized over the query batch and
+        ignores them.
 
     Returns
     -------
@@ -99,26 +94,15 @@ def one_nn_classify(
         raise ShapeMismatchError(
             "train and test series must have equal length"
         )
-    if index is not None:
-        from ..search.index import CentroidIndex, IndexStats
-
-        router = CentroidIndex(
-            train, metric=metric, mode=index, window=lb_window
-        )
-        nearest, _ = router.query_batch(test)
-        if isinstance(stats, IndexStats):
-            stats.merge(router.stats)
-        elif stats is not None:
-            stats.merge(router.stats.pruning)
-        return labels[nearest]
     if lb_window is None:
-        dists = cross_distances(test, train, metric=metric)
-        nearest = np.argmin(dists, axis=1)
-        return labels[nearest]
-    engine = NeighborEngine(train, window=lb_window, metric=metric)
-    nearest, _ = engine.query_batch(test, n_jobs=n_jobs, backend=backend)
+        dists = cross_distances(
+            test, train, metric=metric, n_jobs=n_jobs, backend=backend
+        )
+        return labels[np.argmin(dists, axis=1)]
+    index = CentroidIndex(train, metric, window=lb_window)
+    nearest, _ = index.query_batch(test)
     if stats is not None:
-        stats.merge(engine.stats)
+        stats.merge(index.stats)
     return labels[nearest]
 
 
@@ -132,14 +116,13 @@ def one_nn_accuracy(
     stats: Optional[PruningStats] = None,
     n_jobs: Optional[int] = None,
     backend: Optional[str] = None,
-    index: Optional[str] = None,
 ) -> float:
     """Fraction of test series whose 1-NN label matches the true label."""
     test = as_dataset(X_test, "X_test")
     truth = _check_labels(test, y_test, "test")
     predicted = one_nn_classify(
         X_train, y_train, X_test, metric=metric, lb_window=lb_window,
-        stats=stats, n_jobs=n_jobs, backend=backend, index=index,
+        stats=stats, n_jobs=n_jobs, backend=backend,
     )
     return float(np.mean(predicted == truth))
 

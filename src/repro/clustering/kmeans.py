@@ -23,11 +23,11 @@ import numpy as np
 
 from .._validation import check_positive_int
 from ..averaging.mean import arithmetic_mean
-from ..distances.base import DistanceFn, get_distance
-from ..distances.matrix import cross_distances
-from ..distances.prune import NeighborEngine, PruningStats, dtw_window_of
-from ..exceptions import ConvergenceWarning, InvalidParameterError
+from ..distances.base import DistanceFn
+from ..distances.prune import PruningStats
+from ..exceptions import ConvergenceWarning
 from ..parallel.executors import parallel_map
+from ..search.index import CentroidIndex
 from .base import (
     BaseClusterer,
     ClusterResult,
@@ -71,23 +71,13 @@ class TimeSeriesKMeans(BaseClusterer):
         concurrently. Clusters are refined independently and assignment
         ties resolve identically, so labels are deterministic in the
         worker count.
-    prune:
-        Pruned assignment for (c)DTW metrics: each series' nearest
-        centroid is found through :class:`repro.distances.NeighborEngine`
-        (lower-bound cascade + early-abandoning DTW) instead of the dense
-        cross-distance matrix. ``None`` (default) enables it automatically
-        whenever ``metric`` is (c)DTW-like; ``True``/``False`` force it.
-        Exact: labels and inertia are bit-identical either way. Per-tier
-        counters accumulate in ``result_.extra["pruning_stats"]``.
-    index:
-        ``None`` (default), ``"exact"``, or ``"approx"`` — route the
-        assignment step through a :class:`~repro.search.CentroidIndex`
-        rebuilt over each iteration's centroids. Requires an SBD or
-        (c)DTW metric and takes precedence over ``prune``. Exact routing
-        keeps labels and inertia bit-identical to the dense/pruned
-        paths; approximate routing may alter assignments (bounded by the
-        beam's measured recall). Router counters accumulate in
-        ``result_.extra["index_stats"]``.
+
+    The assignment step is the exact nearest-candidate search of
+    :class:`~repro.search.CentroidIndex`, rebuilt over each iteration's
+    centroids: lower-bound-pruned under (c)DTW metrics, the dense matrix
+    otherwise, with labels and inertia bit-identical to the dense argmin
+    either way. Its per-tier counters accumulate in
+    ``result_.extra["pruning_stats"]``.
 
     Notes
     -----
@@ -106,8 +96,6 @@ class TimeSeriesKMeans(BaseClusterer):
         random_state=None,
         n_jobs: Optional[int] = None,
         backend: Optional[str] = None,
-        prune: Optional[bool] = None,
-        index: Optional[str] = None,
     ):
         super().__init__(n_clusters, random_state)
         self.metric = metric
@@ -116,19 +104,6 @@ class TimeSeriesKMeans(BaseClusterer):
         self.n_init = check_positive_int(n_init, "n_init")
         self.n_jobs = n_jobs
         self.backend = backend
-        self.prune = prune
-        if index not in (None, "exact", "approx"):
-            raise InvalidParameterError(
-                f"index must be None, 'exact', or 'approx', got {index!r}"
-            )
-        self.index = index
-
-    def _metric_fn(self) -> Union[str, DistanceFn]:
-        """Value handed to cross_distances (names keep vectorized paths)."""
-        if callable(self.metric):
-            return self.metric
-        get_distance(self.metric)  # fail fast on unknown names
-        return self.metric
 
     def _refine_centroids(
         self, X: np.ndarray, labels: np.ndarray, centroids: np.ndarray
@@ -146,86 +121,30 @@ class TimeSeriesKMeans(BaseClusterer):
         for j, centroid in zip(occupied, updated):
             centroids[j] = centroid
 
-    def _use_prune(self, metric) -> bool:
-        """Whether the assignment step goes through the pruned engine."""
-        if self.prune is False:
-            return False
-        is_dtw, _ = dtw_window_of(metric)
-        if self.prune and not is_dtw:
-            raise InvalidParameterError(
-                "prune=True requires a (c)DTW metric; the lower bounds are "
-                f"not admissible for {self.metric!r}"
-            )
-        return is_dtw
-
-    def _use_index(self, metric) -> bool:
-        """Whether the assignment step routes through the centroid index."""
-        if self.index is None:
-            return False
-        is_sbd = isinstance(metric, str) and metric.lower() == "sbd"
-        is_dtw, _ = dtw_window_of(metric)
-        if not (is_sbd or is_dtw):
-            raise InvalidParameterError(
-                "index routing requires metric='sbd' or a (c)DTW metric; "
-                f"the sketch bounds are not admissible for {self.metric!r}"
-            )
-        return True
-
     def _single_run(self, X: np.ndarray, rng: np.random.Generator) -> ClusterResult:
-        from ..search.index import CentroidIndex, IndexStats
-
         n, m = X.shape
         k = self.n_clusters
-        metric = self._metric_fn()
-        indexed = self._use_index(metric)
-        pruned = not indexed and self._use_prune(metric)
         pruning = PruningStats()
-        index_stats = IndexStats()
         labels = random_assignment(n, k, rng)
         centroids = np.zeros((k, m))
         converged = False
         n_iter = 0
-        dists = np.zeros((n, k))
         point_dists = np.zeros(n)
         for n_iter in range(1, self.max_iter + 1):
             previous = labels
             self._refine_centroids(X, labels, centroids)
-            if indexed:
-                router = CentroidIndex(centroids, metric=metric, mode=self.index)
-                assigned, best = router.query_batch(X)
-                index_stats.merge(router.stats)
-                labels = repair_empty_clusters(assigned, k, rng)
-                repaired = np.flatnonzero(labels != assigned)
-                for i in repaired:
-                    # Same kernels as the exhaustive baselines, so the
-                    # inertia stays bit-identical to the unrouted paths.
-                    best[i] = float(
-                        router.exact_distances(X[i : i + 1], [labels[i]])[0, 0]
-                    )
-                point_dists = best
-            elif pruned:
-                engine = NeighborEngine(centroids, metric=metric)
-                assigned, best = engine.query_batch(
-                    X, n_jobs=self.n_jobs, backend=self.backend
-                )
-                pruning.merge(engine.stats)
-                labels = repair_empty_clusters(assigned, k, rng)
-                repaired = np.flatnonzero(labels != assigned)
-                if repaired.size:
-                    confirm = metric if callable(metric) else get_distance(metric)
-                    for i in repaired:
-                        best[i] = float(confirm(X[i], centroids[labels[i]]))
-                point_dists = best
-            else:
-                dists = cross_distances(
-                    X,
-                    centroids,
-                    metric=metric,
-                    n_jobs=self.n_jobs,
-                    backend=self.backend,
-                )
-                labels = np.argmin(dists, axis=1)
-                labels = repair_empty_clusters(labels, k, rng)
+            index = CentroidIndex(centroids, self.metric)
+            assigned, point_dists = index.query_batch(
+                X, n_jobs=self.n_jobs, backend=self.backend
+            )
+            pruning.merge(index.stats)
+            labels = repair_empty_clusters(assigned, k, rng)
+            repaired = np.flatnonzero(labels != assigned)
+            if repaired.size:
+                # Cells of the whole-batch matrix, so the inertia stays
+                # bit-identical to the dense argmin's.
+                cells = index.exact_distances(X, labels[repaired])
+                point_dists[repaired] = cells[repaired, np.arange(repaired.size)]
             if np.array_equal(labels, previous):
                 converged = True
                 break
@@ -236,22 +155,13 @@ class TimeSeriesKMeans(BaseClusterer):
                 ConvergenceWarning,
                 stacklevel=2,
             )
-        if indexed or pruned:
-            inertia = float(np.sum(point_dists**2))
-        else:
-            inertia = float(np.sum(dists[np.arange(n), labels] ** 2))
-        extra: dict = {}
-        if pruned:
-            extra["pruning_stats"] = pruning
-        if indexed:
-            extra["index_stats"] = index_stats
         return ClusterResult(
             labels=labels,
             centroids=centroids.copy(),
-            inertia=inertia,
+            inertia=float(np.sum(point_dists**2)),
             n_iter=n_iter,
             converged=converged,
-            extra=extra,
+            extra={"pruning_stats": pruning},
         )
 
     def _fit(self, X: np.ndarray, rng: np.random.Generator) -> ClusterResult:
@@ -269,33 +179,18 @@ class TimeSeriesKMeans(BaseClusterer):
     def predict(self, X) -> np.ndarray:
         """Assign held-out sequences to the fitted centroids (no update).
 
-        Mirrors the fit loop's assignment step exactly: (c)DTW metrics go
-        through the pruned :class:`~repro.distances.NeighborEngine` (exact,
-        bit-identical to the dense matrix), everything else through
-        :func:`~repro.distances.matrix.cross_distances` — so held-out
-        labels agree with :class:`repro.serving.ShapePredictor` over the
-        same centroids and metric.
+        Mirrors the fit loop's assignment step exactly (the
+        :class:`~repro.search.CentroidIndex` search, bit-identical to the
+        dense argmin), so held-out labels agree with
+        :class:`repro.serving.ShapePredictor` over the same centroids and
+        metric.
         """
         data = self._predict_data(X)
-        centroids = self._check_fitted().centroids
-        metric = self._metric_fn()
-        if self._use_index(metric):
-            from ..search.index import CentroidIndex
-
-            router = CentroidIndex(centroids, metric=metric, mode=self.index)
-            labels, _ = router.query_batch(data)
-            return labels
-        if self._use_prune(metric):
-            engine = NeighborEngine(centroids, metric=metric)
-            labels, _ = engine.query_batch(
-                data, n_jobs=self.n_jobs, backend=self.backend
-            )
-            return labels
-        dists = cross_distances(
-            data, centroids, metric=metric,
-            n_jobs=self.n_jobs, backend=self.backend,
+        index = CentroidIndex(self._check_fitted().centroids, self.metric)
+        labels, _ = index.query_batch(
+            data, n_jobs=self.n_jobs, backend=self.backend
         )
-        return np.argmin(dists, axis=1)
+        return labels
 
 
 def k_avg_ed(n_clusters: int, **kwargs) -> TimeSeriesKMeans:

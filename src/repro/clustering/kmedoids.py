@@ -25,14 +25,10 @@ import numpy as np
 
 from .._validation import check_positive_int
 from ..distances.base import DistanceFn
-from ..distances.matrix import cross_distances, pairwise_distances
-from ..distances.prune import (
-    NeighborEngine,
-    PruningStats,
-    dtw_window_of,
-    pruned_medoid,
-)
+from ..distances.matrix import pairwise_distances
+from ..distances.prune import PruningStats, dtw_window_of, pruned_medoid
 from ..exceptions import ConvergenceWarning, InvalidParameterError
+from ..search.index import CentroidIndex
 from .base import BaseClusterer, ClusterResult
 
 __all__ = ["KMedoids", "pam_build", "pam_swap"]
@@ -111,31 +107,18 @@ class KMedoids(BaseClusterer):
         ``"pam"`` (default) runs BUILD + SWAP over the full dissimilarity
         matrix. ``"alternate"`` runs Voronoi iteration instead — assign
         every series to its nearest medoid, then recompute each cluster's
-        medoid — which never materializes the ``n x n`` matrix and, for
-        (c)DTW metrics, routes the assignment step through the pruned
-        :class:`repro.distances.NeighborEngine` and the medoid updates
-        through :func:`repro.distances.pruned_medoid`.
-    prune:
-        Only meaningful with ``method="alternate"``: ``None`` (default)
-        prunes automatically when ``metric`` is (c)DTW-like, ``True``
-        forces it (raising for non-DTW metrics), ``False`` forces the
-        dense path. Pruning is exact — labels, medoids, and inertia are
-        bit-identical either way — and its per-tier counters land in
-        ``result_.extra["pruning_stats"]``.
-    index:
-        Only meaningful with ``method="alternate"`` and an SBD or (c)DTW
-        metric: ``"exact"`` or ``"approx"`` routes the nearest-medoid
-        assignment through a :class:`~repro.search.CentroidIndex` built
-        over the current medoids (takes precedence over ``prune``; the
-        in-cluster medoid updates are unchanged). Exact routing keeps
-        labels, medoids, and inertia bit-identical; router counters land
-        in ``result_.extra["index_stats"]``.
+        medoid — which never materializes the ``n x n`` matrix. The
+        assignment step is the exact nearest-candidate search of
+        :class:`~repro.search.CentroidIndex` (lower-bound-pruned under
+        (c)DTW metrics); (c)DTW medoid updates run through
+        :func:`repro.distances.pruned_medoid`. Both are exact, and their
+        per-tier counters land in ``result_.extra["pruning_stats"]``.
     n_jobs, backend:
         Parallel execution of the dissimilarity matrix — forwarded to
         :func:`repro.distances.pairwise_distances` (see
         :mod:`repro.parallel`). The PAM phases themselves are unchanged,
         so results are identical for any worker count. In alternate mode
-        the engine's batched queries parallelize the same way.
+        the dense assignment matrix parallelizes the same way.
 
     Notes
     -----
@@ -153,8 +136,6 @@ class KMedoids(BaseClusterer):
         n_jobs: Optional[int] = None,
         backend: Optional[str] = None,
         method: str = "pam",
-        prune: Optional[bool] = None,
-        index: Optional[str] = None,
     ):
         super().__init__(n_clusters, random_state)
         self.metric = metric
@@ -166,80 +147,32 @@ class KMedoids(BaseClusterer):
                 f"method must be 'pam' or 'alternate', got {method!r}"
             )
         self.method = method
-        self.prune = prune
-        if index not in (None, "exact", "approx"):
-            raise InvalidParameterError(
-                f"index must be None, 'exact', or 'approx', got {index!r}"
-            )
-        self.index = index
-
-    def _use_prune(self) -> bool:
-        if self.prune is False:
-            return False
-        is_dtw, _ = dtw_window_of(self.metric)
-        if self.prune and not is_dtw:
-            raise InvalidParameterError(
-                "prune=True requires a (c)DTW metric; the lower bounds are "
-                f"not admissible for {self.metric!r}"
-            )
-        return is_dtw
-
-    def _use_index(self) -> bool:
-        if self.index is None:
-            return False
-        is_sbd = isinstance(self.metric, str) and self.metric.lower() == "sbd"
-        is_dtw, _ = dtw_window_of(self.metric)
-        if not (is_sbd or is_dtw):
-            raise InvalidParameterError(
-                "index routing requires metric='sbd' or a (c)DTW metric; "
-                f"the sketch bounds are not admissible for {self.metric!r}"
-            )
-        return True
 
     def _assign(
-        self, X: np.ndarray, medoids: np.ndarray, pruned: bool,
-        pruning: PruningStats, index_stats=None,
+        self, X: np.ndarray, candidates: np.ndarray, stats: PruningStats
     ) -> tuple:
-        """Labels and nearest-medoid distances for every series."""
-        if index_stats is not None:
-            from ..search.index import CentroidIndex
-
-            router = CentroidIndex(X[medoids], metric=self.metric, mode=self.index)
-            labels, dists = router.query_batch(X)
-            index_stats.merge(router.stats)
-            return labels, dists
-        if pruned:
-            engine = NeighborEngine(X[medoids], metric=self.metric)
-            labels, dists = engine.query_batch(
-                X, n_jobs=self.n_jobs, backend=self.backend
-            )
-            pruning.merge(engine.stats)
-            return labels, dists
-        D = cross_distances(
-            X, X[medoids], metric=self.metric,
-            n_jobs=self.n_jobs, backend=self.backend,
+        """Nearest-medoid labels and distances for every row of ``X``."""
+        index = CentroidIndex(candidates, self.metric)
+        labels, dists = index.query_batch(
+            X, n_jobs=self.n_jobs, backend=self.backend
         )
-        labels = np.argmin(D, axis=1)
-        return labels, D[np.arange(X.shape[0]), labels]
+        stats.merge(index.stats)
+        return labels, dists
 
     def _fit_alternate(
         self, X: np.ndarray, rng: np.random.Generator
     ) -> ClusterResult:
-        from ..search.index import IndexStats
-
         n = X.shape[0]
         k = self.n_clusters
-        indexed = self._use_index()
-        pruned = not indexed and self._use_prune()
         pruning = PruningStats()
-        index_stats = IndexStats() if indexed else None
+        prune_updates = dtw_window_of(self.metric)[0]
         medoids = rng.choice(n, size=k, replace=False)
         converged = False
         n_iter = 0
         labels = np.zeros(n, dtype=np.int64)
         dists = np.zeros(n)
         def assign_repaired(medoids):
-            labels, dists = self._assign(X, medoids, pruned, pruning, index_stats)
+            labels, dists = self._assign(X, X[medoids], pruning)
             # Every medoid anchors its own cluster; forcing one back may
             # empty another cluster, so sweep until no cluster is empty.
             for _ in range(k):
@@ -251,9 +184,6 @@ class KMedoids(BaseClusterer):
                     dists[medoids[j]] = 0.0
             return labels, dists
 
-        # Indexed assignment replaces the engine only for the assignment
-        # step; the in-cluster medoid updates still prune under (c)DTW.
-        prune_updates = pruned or (indexed and dtw_window_of(self.metric)[0])
         for n_iter in range(1, self.max_iter + 1):
             labels, dists = assign_repaired(medoids)
             new_medoids = medoids.copy()
@@ -282,19 +212,13 @@ class KMedoids(BaseClusterer):
                 stacklevel=2,
             )
             labels, dists = assign_repaired(medoids)
-        inertia = float(np.sum(dists**2))
-        extra = {"medoid_indices": medoids}
-        if pruned or prune_updates:
-            extra["pruning_stats"] = pruning
-        if indexed:
-            extra["index_stats"] = index_stats
         return ClusterResult(
             labels=labels,
             centroids=X[medoids].copy(),
-            inertia=inertia,
+            inertia=float(np.sum(dists**2)),
             n_iter=n_iter,
             converged=converged,
-            extra=extra,
+            extra={"medoid_indices": medoids, "pruning_stats": pruning},
         )
 
     def _fit(self, X: np.ndarray, rng: np.random.Generator) -> ClusterResult:
@@ -343,10 +267,9 @@ class KMedoids(BaseClusterer):
         """Assign held-out sequences to the fitted medoids (no update).
 
         Requires a fit on raw series (``metric="precomputed"`` keeps no
-        medoid sequences to compare against). (c)DTW metrics route through
-        the pruned :class:`~repro.distances.NeighborEngine`; everything
-        else through :func:`~repro.distances.matrix.cross_distances`.
-        Labels agree bit-for-bit with the fit-time nearest-medoid
+        medoid sequences to compare against). Runs the exact
+        nearest-candidate search of :class:`~repro.search.CentroidIndex`,
+        so labels agree bit-for-bit with the fit-time nearest-medoid
         assignment and with :class:`repro.serving.ShapePredictor` over the
         medoid sequences.
         """
@@ -357,25 +280,8 @@ class KMedoids(BaseClusterer):
                 "medoid sequences needed for predict are unavailable"
             )
         data = self._predict_data(X)
-        if self._use_index():
-            from ..search.index import CentroidIndex
-
-            router = CentroidIndex(
-                result.centroids, metric=self.metric, mode=self.index
-            )
-            labels, _ = router.query_batch(data)
-            return labels
-        if self._use_prune():
-            engine = NeighborEngine(result.centroids, metric=self.metric)
-            labels, _ = engine.query_batch(
-                data, n_jobs=self.n_jobs, backend=self.backend
-            )
-            return labels
-        D = cross_distances(
-            data, result.centroids, metric=self.metric,
-            n_jobs=self.n_jobs, backend=self.backend,
-        )
-        return np.argmin(D, axis=1)
+        labels, _ = self._assign(data, result.centroids, PruningStats())
+        return labels
 
     @property
     def medoid_indices_(self) -> np.ndarray:

@@ -21,7 +21,7 @@ from .euclidean import euclidean, squared_euclidean
 from .ksc import ksc_align, ksc_distance, ksc_distance_with_shift
 from .lb_cascade import cascade, lb_keogh_max, lb_kim, lb_paa, lb_yi
 from .lower_bounds import keogh_envelope, lb_keogh
-from .prune import NeighborEngine, PruningStats, dtw_window_of, pruned_medoid
+from .prune import PruningStats, dtw_window_of, pruned_medoid
 from .uniform_scaling import uniform_scaling_distance, us_ed, us_sbd
 from .matrix import (
     cross_distances,
@@ -58,7 +58,6 @@ __all__ = [
     "lb_keogh_max",
     "lb_paa",
     "cascade",
-    "NeighborEngine",
     "PruningStats",
     "dtw_window_of",
     "pruned_medoid",

@@ -22,10 +22,10 @@ abandoned — exactly as in the scalar kernel — when two consecutive
 anti-diagonals hold no cell at or below its cutoff; abandoned rows are
 compacted out of the sweep so a mostly-dead batch finishes early. The
 kernel can also record every row's per-diagonal band minima, which lets
-:class:`repro.distances.prune.NeighborEngine` *replay* the scalar
-sequential abandon decisions after the fact (the DP values never depend on
-the cutoff; the cutoff only decides when to stop) and keep its per-tier
-pruning statistics bit-identical to the unbatched engine.
+:func:`repro.distances.pruned_medoid` *replay* the scalar sequential
+abandon decisions after the fact (the DP values never depend on the
+cutoff; the cutoff only decides when to stop) and keep its per-tier
+pruning statistics bit-identical to the unbatched search.
 
 Ragged batches (mixed lengths, mixed windows) are supported by grouping
 pairs of identical ``(len_x, len_y, window)`` shape and sweeping each

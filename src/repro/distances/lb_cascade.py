@@ -16,8 +16,8 @@ bounds so most candidates are discarded by the cheapest ones:
 * **LB_PAA** — LB_Keogh coarsened to PAA resolution (Keogh's exact-indexing
   bound): segment means of the query against the segment-wise extremes of
   the envelope. Cheaper than LB_Keogh (``S`` terms instead of ``m``) and
-  never tighter; it is the sketch tier of the coarse-to-fine candidate
-  router (:class:`repro.search.CentroidIndex`).
+  never tighter; it is the first bound tier of the nearest-candidate
+  search (:class:`repro.search.CentroidIndex`).
 * :func:`cascade` — evaluates bounds cheapest-first and returns the first
   one exceeding a pruning threshold.
 """

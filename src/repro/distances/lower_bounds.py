@@ -12,8 +12,8 @@ window, so pruning is exact.
 
 :func:`keogh_envelope` also accepts a 2-D ``(n, m)`` candidate set and
 returns the ``n`` stacked envelopes from a single filter call, which is how
-:class:`repro.distances.prune.NeighborEngine` precomputes every candidate
-envelope once per search instead of once per (query, candidate) pair.
+:class:`repro.search.CentroidIndex` precomputes every candidate envelope
+once per search instead of once per (query, candidate) pair.
 """
 
 from __future__ import annotations

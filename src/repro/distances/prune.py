@@ -1,27 +1,21 @@
-"""Pruned nearest-neighbor engine: lower-bound cascade + early abandoning.
+"""Lower-bound pruning for exact (c)DTW search: bounds, accounting, medoids.
 
 The paper's ``cDTW_LB`` baselines (Table 2) exist because full (c)DTW is
 the cost center of 1-NN and medoid-style evaluation; the UCR Suite [65] it
 cites shows that cascading progressively tighter lower bounds and
 abandoning the DTW recurrence once it provably exceeds the best-so-far
-prunes the vast majority of candidates. :class:`NeighborEngine` packages
-that pipeline for a *fixed candidate set*:
+prunes the vast majority of candidates. This module holds the pieces of
+that pipeline shared by the two exact searches built on it:
 
-1. the Keogh envelopes of all candidates are precomputed **once** with a
-   single vectorized filter call (:func:`repro.distances.lower_bounds.keogh_envelope`
-   on the 2-D candidate matrix);
-2. per query, LB_Kim and LB_Yi are evaluated vectorized over *all*
-   candidates at once (one broadcast each instead of a Python loop per
-   pair);
-3. survivors get the symmetric LB_Keogh (both envelope directions,
-   vectorized), are ordered by ascending bound, and are confirmed with
-   ``cutoff=``-early-abandoning :func:`repro.distances.dtw.dtw` — exact,
-   never approximate, so results are bit-identical to brute force
-   (``argmin`` ties included: the lowest candidate index wins).
+* vectorized LB_Kim, LB_Yi and symmetric LB_Keogh over a whole candidate
+  set at once (one broadcast each, no Python loop per pair), with the
+  envelope width chosen by :func:`_envelope_cells`;
+* :class:`PruningStats`, the per-tier accounting both searches report,
+  so benchmarks can record pruning *power*, not just wall-clock;
+* :func:`pruned_medoid`, the medoid update of alternating k-medoids.
 
-Every tier reports how many candidates it killed through
-:class:`PruningStats`, so benchmarks can record pruning *power*, not just
-wall-clock.
+The nearest-candidate search itself is
+:class:`repro.search.CentroidIndex`.
 """
 
 from __future__ import annotations
@@ -33,14 +27,14 @@ from typing import Optional, Tuple, Union
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .._validation import as_dataset, as_series, check_equal_length
+from .._validation import as_dataset
 from ..exceptions import InvalidParameterError
 from .base import DistanceFn, get_distance
 from .batch import _dtw_cost_batch, dtw_nonempty_diagonals
 from .dtw import Window, cdtw, dtw, resolve_window
 from .lower_bounds import keogh_envelope
 
-__all__ = ["PruningStats", "NeighborEngine", "dtw_window_of", "pruned_medoid"]
+__all__ = ["PruningStats", "dtw_window_of", "pruned_medoid"]
 
 
 def _replay_dtw(
@@ -83,12 +77,14 @@ class PruningStats:
 
     Attributes
     ----------
+    queries:
+        Queries answered (nearest-candidate searches; 0 for medoid
+        searches).
     candidates:
         Total (query, candidate) pairs considered.
     lb_paa:
-        Pairs discarded by the PAA-sketch tier of the coarse-to-fine
-        candidate router (:class:`repro.search.CentroidIndex`) before they
-        ever reached the engine. Always 0 for plain engine searches.
+        Pairs discarded by the PAA-sketch tier of
+        :class:`repro.search.CentroidIndex`.
     lb_kim / lb_yi / lb_keogh:
         Pairs discarded by that bound tier (cheapest sufficient tier wins
         the attribution).
@@ -100,13 +96,13 @@ class PruningStats:
         Pairs answered from a symmetric-distance cache (medoid search).
     skipped:
         Pairs never examined because their candidate was already ruled out
-        (medoid search: the candidate's running total went over budget;
-        approximate index routing: candidates beyond the beam).
+        (medoid search: the candidate's running total went over budget).
 
     The tiers partition the work: ``candidates == lb_paa + lb_kim + lb_yi
     + lb_keogh + abandoned + full + cached + skipped``.
     """
 
+    queries: int = 0
     candidates: int = 0
     lb_paa: int = 0
     lb_kim: int = 0
@@ -176,584 +172,92 @@ def dtw_window_of(metric: object) -> Tuple[bool, object]:
     return False, None
 
 
-class NeighborEngine:
-    """Batched, exact, lower-bound-pruned nearest-neighbor search.
+def _envelope_cells(m: int, window: Window, confirm_window: Window) -> int:
+    """Keogh envelope half-width in cells for a (c)DTW search.
 
-    Parameters
-    ----------
-    candidates:
-        ``(n, m)`` candidate set the queries are matched against (a 1-NN
-        training set, the current centroids of a k-means run, ...).
-    window:
-        Sakoe-Chiba window used for the Keogh envelopes and — when
-        ``metric`` is None — for the confirming cDTW (``None`` means
-        unconstrained DTW; the envelopes then degenerate to the global
-        extremes, which is still admissible).
-    metric:
-        ``None`` (default) confirms survivors with ``(c)DTW`` at
-        ``window``. A (c)DTW name or callable (see :func:`dtw_window_of`)
-        confirms with *that* metric, early-abandoning at the best-so-far —
-        bit-identical to calling the metric directly. Any other callable is
-        used verbatim without abandoning; the caller is then responsible
-        for the bounds being admissible for it (the legacy ``lb_window``
-        contract).
-    batch_full:
-        When True (default) and the confirming metric is (c)DTW, the
-        "full" tier confirms survivors in vectorized chunks through the
-        batched wavefront kernel (:mod:`repro.distances.batch`) instead of
-        one scalar DTW per pair. Results, tie-breaking, and the per-tier
-        :class:`PruningStats` are **bit-identical** to ``batch_full=False``:
-        each chunk is computed at the loosest cutoff any of its members can
-        see (the best-so-far when the chunk starts — the bound can only
-        tighten), and the scalar sequential abandon decisions are replayed
-        from the recorded per-diagonal band minima (:func:`_replay_dtw`).
-
-    Notes
-    -----
-    When both ``window`` and a windowed metric are given, the envelope uses
-    the *wider* of the two so the bounds stay admissible for the confirming
-    distance.
+    The envelope is at least as wide as the confirming distance's band
+    (``confirm_window``; ``None`` means unconstrained DTW, i.e. ``m``
+    cells), widened to ``window`` when that is wider, so every bound
+    built from it stays admissible for the confirming distance.
     """
+    cells = resolve_window(confirm_window, m)
+    cells = m if cells is None else cells
+    extra = resolve_window(window, m)
+    return cells if extra is None else max(cells, extra)
 
-    #: Survivors pre-confirmed per vectorized chunk; amortizes the
-    #: per-diagonal numpy overhead ~chunk-fold while keeping the chunk-start
-    #: cutoff close to each member's sequential cutoff.
-    _BATCH_CHUNK = 64
 
-    #: Scan-order prefixes swept per cross-query wave in ``query_batch``
-    #: (see ``_precompute_batch``): the first few candidates collapse the
-    #: best-so-far, so later — much larger — waves run at near-final
-    #: cutoffs and abandon almost immediately.
-    _WAVE_EDGES = (4, 16, 64)
+def _row_envelopes(C: np.ndarray, cells: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(n, m)`` Keogh envelopes of every row of ``C`` at ``cells``."""
+    if C.shape[1] == 1:  # keogh_envelope would read an (n, 1) stack as one series
+        return C.copy(), C.copy()
+    upper, lower = keogh_envelope(C, cells)
+    return upper.reshape(C.shape), lower.reshape(C.shape)
 
-    def __init__(
-        self,
-        candidates: ArrayLike,
-        window: Window = None,
-        metric: Union[str, DistanceFn, None] = None,
-        batch_full: bool = True,
-    ) -> None:
-        C = as_dataset(candidates, "candidates")
-        self._C = C
-        self.n_candidates, self.m = C.shape
-        self.window = window
-        self._fn: Optional[DistanceFn] = None
-        if metric is None:
-            self._confirm_window = window
-        else:
-            is_dtw, metric_window = dtw_window_of(metric)
-            if is_dtw:
-                self._confirm_window = metric_window
-            else:
-                self._fn = get_distance(metric) if isinstance(metric, str) else metric
-                if not callable(self._fn):
-                    raise InvalidParameterError(
-                        f"metric must be a distance name or callable, got {metric!r}"
-                    )
-                self._confirm_window = None
-        if self._fn is None:
-            env_cells = self._envelope_cells(window, metric)
-        else:
-            env_cells = resolve_window(window, self.m)
-            if env_cells is None:
-                env_cells = self.m
-        self.window_cells_ = env_cells
-        self._upper, self._lower = keogh_envelope(C, env_cells)
-        if self.n_candidates == 1:
-            self._upper = self._upper.reshape(1, -1)
-            self._lower = self._lower.reshape(1, -1)
-        self._first = C[:, 0]
-        self._last = C[:, -1]
-        self._max = C.max(axis=1)
-        self._min = C.min(axis=1)
-        self.batch_full = bool(batch_full)
-        self._nonempty: Optional[np.ndarray] = None
-        self.stats = PruningStats()
 
-    def _envelope_cells(self, window: Window, metric: object) -> int:
-        """Envelope half-width in cells: at least as wide as the confirm band."""
-        cells = resolve_window(window, self.m)
-        if metric is not None:
-            confirm_cells = resolve_window(self._confirm_window, self.m)
-            if confirm_cells is None:
-                confirm_cells = self.m
-            cells = confirm_cells if cells is None else max(cells, confirm_cells)
-        return self.m if cells is None else cells
+def _lb_kim(
+    xv: np.ndarray,
+    first: np.ndarray,
+    last: np.ndarray,
+    top: np.ndarray,
+    bottom: np.ndarray,
+) -> np.ndarray:
+    """LB_Kim of ``xv`` against candidates given by their end points and extremes."""
+    return np.maximum.reduce([
+        np.abs(xv[0] - first),
+        np.abs(xv[-1] - last),
+        np.abs(xv.max() - top),
+        np.abs(xv.min() - bottom),
+    ])
 
-    # -- bound tiers --------------------------------------------------------
 
-    def _kim(self, xv: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
-        """LB_Kim for ``xv`` against every candidate (or ``rows``), vectorized."""
-        first, last = self._first, self._last
-        top, bottom = self._max, self._min
-        if rows is not None:
-            first, last = first[rows], last[rows]
-            top, bottom = top[rows], bottom[rows]
-        return np.maximum.reduce([
-            np.abs(xv[0] - first),
-            np.abs(xv[-1] - last),
-            np.abs(xv.max() - top),
-            np.abs(xv.min() - bottom),
-        ])
+def _lb_yi(xv: np.ndarray, top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
+    """LB_Yi of ``xv`` against candidates given by their extremes.
 
-    def _yi(self, xv: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
-        """LB_Yi for ``xv`` against every candidate (or ``rows``), vectorized.
+    The excursions are formed directly (not through expanded prefix-sum
+    algebra) so the result carries only relative rounding error — an
+    expanded ``s2 - 2*hi*s1 + n*hi^2`` form can leave absolute
+    cancellation noise that overshoots a near-zero true bound and would
+    break exact pruning on near-duplicate candidates.
+    """
+    above = np.maximum(xv[None, :] - top[:, None], 0.0)
+    below = np.maximum(bottom[:, None] - xv[None, :], 0.0)
+    return np.sqrt(
+        np.einsum("ij,ij->i", above, above)
+        + np.einsum("ij,ij->i", below, below)
+    )
 
-        The excursions are formed directly (not through expanded prefix-sum
-        algebra) so the result carries only relative rounding error — an
-        expanded ``s2 - 2*hi*s1 + n*hi^2`` form can leave absolute
-        cancellation noise that overshoots a near-zero true bound and would
-        break exact pruning on near-duplicate candidates.
-        """
-        top = self._max if rows is None else self._max[rows]
-        bottom = self._min if rows is None else self._min[rows]
-        above = np.maximum(xv[None, :] - top[:, None], 0.0)
-        below = np.maximum(bottom[:, None] - xv[None, :], 0.0)
-        return np.sqrt(
-            np.einsum("ij,ij->i", above, above)
-            + np.einsum("ij,ij->i", below, below)
-        )
 
-    def _keogh(self, xv: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Symmetric LB_Keogh for ``xv`` against candidates ``rows``."""
-        above = np.maximum(xv[None, :] - self._upper[rows], 0.0)
-        below = np.maximum(self._lower[rows] - xv[None, :], 0.0)
+def _lb_keogh_pairs(
+    Q: np.ndarray,
+    q_upper: np.ndarray,
+    q_lower: np.ndarray,
+    C: np.ndarray,
+    c_upper: np.ndarray,
+    c_lower: np.ndarray,
+    qs: np.ndarray,
+    cs: np.ndarray,
+) -> np.ndarray:
+    """Symmetric LB_Keogh for the (query ``qs[i]``, candidate ``cs[i]``) pairs.
+
+    Both envelope directions (query against the candidate's envelope and
+    candidate against the query's), the larger one wins — the bound
+    :func:`repro.distances.lb_keogh_max` computes for one pair.
+    """
+    out = np.empty(qs.shape[0])
+    for s in range(0, qs.shape[0], 1024):
+        sq, sc = qs[s : s + 1024], cs[s : s + 1024]
+        above = np.maximum(Q[sq] - c_upper[sc], 0.0)
+        below = np.maximum(c_lower[sc] - Q[sq], 0.0)
         forward = np.einsum("ij,ij->i", above, above) + np.einsum(
             "ij,ij->i", below, below
         )
-        q_upper, q_lower = keogh_envelope(xv, self.window_cells_)
-        cand = self._C[rows]
-        above_r = np.maximum(cand - q_upper[None, :], 0.0)
-        below_r = np.maximum(q_lower[None, :] - cand, 0.0)
+        above_r = np.maximum(C[sc] - q_upper[sq], 0.0)
+        below_r = np.maximum(q_lower[sq] - C[sc], 0.0)
         reverse = np.einsum("ij,ij->i", above_r, above_r) + np.einsum(
             "ij,ij->i", below_r, below_r
         )
-        return np.sqrt(np.maximum(forward, reverse))
-
-    def lower_bounds(self, x: ArrayLike) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(lb_kim, lb_yi, lb_keogh)`` arrays of ``x`` vs every candidate.
-
-        The Keogh tier is the symmetric (both-direction) variant, matching
-        :func:`repro.distances.lb_keogh_max` at the engine's envelope
-        window.
-        """
-        xv = as_series(x, "x")
-        check_equal_length(xv, self._C)
-        rows = np.arange(self.n_candidates)
-        return self._kim(xv), self._yi(xv), self._keogh(xv, rows)
-
-    # -- confirmation -------------------------------------------------------
-
-    def _confirm(self, xv: np.ndarray, index: int, cutoff: float) -> float:
-        if self._fn is not None:
-            return float(self._fn(xv, self._C[index]))
-        return dtw(xv, self._C[index], window=self._confirm_window, cutoff=cutoff)
-
-    def _confirm_geometry(self) -> np.ndarray:
-        """Nonempty-diagonal mask of the confirm band (cached; see replay)."""
-        if self._nonempty is None:
-            w = resolve_window(self._confirm_window, self.m)
-            self._nonempty = dtw_nonempty_diagonals(self.m, self.m, w)
-        return self._nonempty
-
-    def _batch_confirm(
-        self, xv: np.ndarray, rows: np.ndarray, cutoff: float
-    ) -> dict:
-        """Wavefront-confirm ``rows`` at ``cutoff``; map row -> (value, minima).
-
-        ``cutoff`` must be the loosest cutoff any of these rows will see
-        when the sequential scan reaches them (the best-so-far only
-        tightens), so recorded minima always cover the diagonals a scalar
-        run at the actual cutoff would have visited.
-        """
-        w = resolve_window(self._confirm_window, self.m)
-        B = rows.shape[0]
-        X = np.broadcast_to(xv, (B, self.m))
-        cut = None
-        if np.isfinite(cutoff):
-            cut = np.full(B, float(cutoff) ** 2)
-        costs, minima = _dtw_cost_batch(
-            X, self._C[rows], w, cutoff_sq=cut, record_minima=True
-        )
-        values = np.sqrt(costs)
-        return {
-            int(rows[k]): (float(values[k]), minima[k]) for k in range(B)
-        }
-
-    def _precompute_batch(
-        self, data: np.ndarray, cutoff: float
-    ) -> Tuple[list, list]:
-        """Cross-query confirmation sweeps for :meth:`query_batch`.
-
-        Replays the head of :meth:`_query` — seed selection, the seed
-        confirm, and the bound ordering — for every query at once, so the
-        two expensive wavefront launches (each query's seed, each query's
-        first confirm chunk) collapse into two *batch-of-everything*
-        sweeps instead of ``2q`` small ones. Every row is swept at exactly
-        the cutoff the sequential scan would use at that point, and the
-        recorded band minima let ``_replay_dtw`` reproduce the scalar
-        abandon decisions, so results and statistics are bit-identical.
-        """
-        q = len(data)
-        w = resolve_window(self._confirm_window, self.m)
-        nonempty = self._confirm_geometry()
-
-        # Sweep 1: every query's seed candidate at the shared external
-        # cutoff (the best-so-far when _query confirms its seed).
-        kims = [self._kim(row) for row in data]
-        pres = [np.maximum(kims[qi], self._yi(data[qi])) for qi in range(q)]
-        seeds = np.fromiter(
-            (int(np.argmin(p)) for p in pres), dtype=np.int64, count=q
-        )
-        cut = np.full(q, cutoff**2) if np.isfinite(cutoff) else None
-        costs, minima = _dtw_cost_batch(
-            np.ascontiguousarray(data),
-            self._C[seeds],
-            w,
-            cutoff_sq=cut,
-            record_minima=True,
-        )
-        seed_vals = np.sqrt(costs)
-        seed_pre = [(float(seed_vals[qi]), minima[qi]) for qi in range(q)]
-
-        # Remaining sweeps: the candidate scans, in escalating *waves*.
-        # Every query's scan visits candidates in ascending-bound order,
-        # and its best-so-far collapses after the first few confirms (the
-        # true neighbor usually sits at the front of the order). Sweeping
-        # the whole first chunk at the loose post-seed cutoff would do far
-        # more DP work per row than the sequential scan; instead the scan
-        # prefix [0:4) is swept first, its replays tighten each query's
-        # best, and each later (larger) wave is swept at those
-        # near-final cutoffs. The replay bookkeeping below mirrors
-        # _query's scan decisions exactly; any divergence would break the
-        # replay-cutoff invariant (every row swept at a cutoff at least
-        # as loose as the one the scan will replay it with).
-        confirmed = [dict() for _ in range(q)]
-        states = []
-        all_rows = np.arange(self.n_candidates)
-        for qi in range(q):
-            pre = pres[qi]
-            seed = int(seeds[qi])
-            best = cutoff
-            best_idx = -1
-            if not pre[seed] > best:  # best_idx == -1: no tie clause yet
-                d = _replay_dtw(*seed_pre[qi], nonempty, best)
-                if not np.isinf(d) and (d < best or d == best):
-                    best, best_idx = float(d), seed
-            rest = all_rows[all_rows != seed]
-            pre_prunable = (pre[rest] > best) | (
-                (pre[rest] == best) & (best_idx != -1) & (rest > best_idx)
-            )
-            survivors = rest[~pre_prunable]
-            if survivors.shape[0] == 0:
-                states.append(None)
-                continue
-            keogh = self._keogh(data[qi], survivors)
-            bound = np.maximum(pre[survivors], keogh)
-            order = np.argsort(bound, kind="stable")
-            states.append([best, best_idx, survivors, bound, order, False])
-        edges = (0,) + self._WAVE_EDGES + (self.n_candidates,)
-        for start, end in zip(edges[:-1], edges[1:]):
-            gathered_ti = []
-            gathered_q = []
-            gathered_cut = []
-            for qi in range(q):
-                st = states[qi]
-                if st is None or st[5]:  # no survivors / scan broke early
-                    continue
-                best, best_idx, survivors, bound, order = st[:5]
-                chunk = order[start:end]
-                tis = survivors[chunk]
-                bnds = bound[chunk]
-                alive = ~(
-                    (bnds > best)
-                    | ((bnds == best) & (best_idx != -1) & (tis > best_idx))
-                )
-                todo = tis[alive]
-                if todo.shape[0]:
-                    gathered_ti.append(todo)
-                    gathered_q.append(np.full(todo.shape[0], qi))
-                    gathered_cut.append(np.full(todo.shape[0], best))
-            if gathered_ti:
-                ti_all = np.concatenate(gathered_ti)
-                q_all = np.concatenate(gathered_q)
-                cut_all = np.concatenate(gathered_cut)
-                cut = (
-                    np.square(cut_all)
-                    if np.any(np.isfinite(cut_all))
-                    else None
-                )
-                costs, minima = _dtw_cost_batch(
-                    data[q_all],
-                    self._C[ti_all],
-                    w,
-                    cutoff_sq=cut,
-                    record_minima=True,
-                )
-                vals = np.sqrt(costs)
-                for k in range(ti_all.shape[0]):
-                    confirmed[int(q_all[k])][int(ti_all[k])] = (
-                        float(vals[k]),
-                        minima[k],
-                    )
-            # Advance every scan through this wave (same decisions _query
-            # will re-make, minus the statistics, which _query owns).
-            for qi in range(q):
-                st = states[qi]
-                if st is None or st[5]:
-                    continue
-                best, best_idx, survivors, bound, order = st[:5]
-                for oi in order[start:end]:
-                    ti = int(survivors[oi])
-                    b = float(bound[oi])
-                    if b > best:
-                        st[5] = True  # ascending order: scan stops here
-                        break
-                    if b == best and best_idx != -1 and ti > best_idx:
-                        continue
-                    d = _replay_dtw(
-                        *confirmed[qi][ti], nonempty, best
-                    )
-                    if np.isinf(d):
-                        continue
-                    if d < best or (
-                        d == best and (best_idx == -1 or ti < best_idx)
-                    ):
-                        best, best_idx = float(d), ti
-                st[0], st[1] = best, best_idx
-        return seed_pre, confirmed
-
-    # -- queries ------------------------------------------------------------
-
-    def query(
-        self,
-        x: ArrayLike,
-        cutoff: float = np.inf,
-        subset: Optional[ArrayLike] = None,
-    ) -> Tuple[int, float]:
-        """Nearest candidate to ``x``: exact, bit-identical to brute force.
-
-        Returns ``(index, distance)`` where ``index`` is the lowest
-        candidate index achieving the minimum distance (``numpy.argmin``
-        semantics). With a finite ``cutoff`` (a shared upper bound from
-        another tile of the search), candidates farther than ``cutoff`` are
-        ignored and ``(-1, inf)`` is returned when none qualifies.
-
-        ``subset`` restricts the search to those candidate indices (the
-        coarse-to-fine router hands the engine only the survivors of its
-        sketch tier). The answer is the exact nearest neighbor *within the
-        subset*; indices returned are still global candidate indices, and
-        ``stats.candidates`` counts only the subset.
-        """
-        xv = as_series(x, "x")
-        check_equal_length(xv, self._C)
-        rows = None
-        if subset is not None:
-            rows = np.unique(np.asarray(subset, dtype=np.int64))
-            if rows.shape[0] and (rows[0] < 0 or rows[-1] >= self.n_candidates):
-                raise InvalidParameterError(
-                    "subset contains out-of-range candidate indices"
-                )
-        index, dist, stats = self._query(xv, float(cutoff), subset=rows)
-        self.stats.merge(stats)
-        return index, dist
-
-    def _query(
-        self,
-        xv: np.ndarray,
-        cutoff: float,
-        seed_precomp: Optional[Tuple[float, np.ndarray]] = None,
-        confirm_precomp: Optional[dict] = None,
-        subset: Optional[np.ndarray] = None,
-    ) -> Tuple[int, float, PruningStats]:
-        # ``cand`` maps scan positions to global candidate ids: the scan's
-        # bookkeeping arrays (kim/yi/pre/bound) are position-indexed, while
-        # all tie-breaking compares global ids — with subset=None the two
-        # coincide and every decision below is bit-identical to the
-        # pre-subset implementation.
-        if subset is None:
-            cand = np.arange(self.n_candidates)
-        else:
-            cand = subset
-        stats = PruningStats(candidates=cand.shape[0])
-        if cand.shape[0] == 0:
-            return -1, np.inf, stats
-        kim = self._kim(xv, None if subset is None else cand)
-        yi = self._yi(xv, None if subset is None else cand)
-        pre = np.maximum(kim, yi)
-        best = cutoff
-        best_idx = -1
-
-        def prunable(bound: float, idx: int) -> bool:
-            # A bound never exceeds the true distance, so pruning needs the
-            # bound to rule out both a strictly better distance and a tie
-            # at a lower index.
-            return bound > best or (
-                bound == best and best_idx != -1 and idx > best_idx
-            )
-
-        # Seed the upper bound with the cheapest-looking candidate so the
-        # Keogh tier and the scan start from a tight best-so-far.
-        seed_pos = int(np.argmin(pre))
-        seed = int(cand[seed_pos])
-        if not prunable(pre[seed_pos], seed):
-            if seed_precomp is not None:
-                # query_batch confirmed every query's seed in one wavefront
-                # sweep at this exact cutoff; replaying the recorded band
-                # minima reproduces the scalar abandon decision bit-for-bit.
-                value, minima = seed_precomp
-                d = _replay_dtw(value, minima, self._confirm_geometry(), best)
-            else:
-                d = self._confirm(xv, seed, best)
-            if np.isinf(d):
-                stats.abandoned += 1
-            else:
-                stats.full += 1
-                if d < best or (d == best and (best_idx == -1 or seed < best_idx)):
-                    best, best_idx = d, seed
-        else:  # the external cutoff already rules it out
-            stats.lb_kim += 1 if prunable(kim[seed_pos], seed) else 0
-            stats.lb_yi += 0 if prunable(kim[seed_pos], seed) else 1
-
-        positions = np.arange(cand.shape[0])
-        rest = positions[positions != seed_pos]
-        rest_ids = cand[rest]
-        pre_prunable = (pre[rest] > best) | (
-            (pre[rest] == best) & (best_idx != -1) & (rest_ids > best_idx)
-        )
-        cheap_killed = rest[pre_prunable]
-        cheap_ids = cand[cheap_killed]
-        kim_killed = (kim[cheap_killed] > best) | (
-            (kim[cheap_killed] == best) & (best_idx != -1) & (cheap_ids > best_idx)
-        )
-        stats.lb_kim += int(np.count_nonzero(kim_killed))
-        stats.lb_yi += int(cheap_killed.shape[0] - np.count_nonzero(kim_killed))
-
-        survivors = rest[~pre_prunable]
-        if survivors.shape[0] == 0:
-            return best_idx, (best if best_idx != -1 else np.inf), stats
-        surv_ids = cand[survivors]
-        keogh = self._keogh(xv, surv_ids)
-        bound = np.maximum(pre[survivors], keogh)
-        order = np.argsort(bound, kind="stable")
-        use_batch = self.batch_full and self._fn is None
-        # query_batch pre-sweeps every row this scan can possibly confirm
-        # (at cutoffs no tighter than the ones used here), so with a
-        # precomputed dict the in-loop chunk batching never fires.
-        confirmed: dict = (
-            dict(confirm_precomp) if confirm_precomp is not None else {}
-        )
-        in_loop_batch = use_batch and confirm_precomp is None
-        nonempty = self._confirm_geometry() if use_batch else None
-        for pos, oi in enumerate(order):
-            if in_loop_batch and pos % self._BATCH_CHUNK == 0:
-                # Pre-confirm this chunk's not-yet-prunable rows in one
-                # wavefront at the loosest cutoff they can see (the
-                # current best; it only tightens from here). Rows that
-                # the scan later prunes keep their bound-tier
-                # attribution: the precomputation is invisible to the
-                # statistics.
-                chunk = order[pos : pos + self._BATCH_CHUNK]
-                tis = surv_ids[chunk]
-                bnds = bound[chunk]
-                alive = ~(
-                    (bnds > best)
-                    | ((bnds == best) & (best_idx != -1) & (tis > best_idx))
-                )
-                todo = tis[alive]
-                if todo.shape[0] > 1:
-                    confirmed.update(self._batch_confirm(xv, todo, best))
-            ti = int(surv_ids[oi])
-            ti_pos = int(survivors[oi])
-            b = float(bound[oi])
-            if b > best:
-                # Sorted ascending: every remaining candidate is pruned too.
-                remaining = survivors[order[pos:]]
-                remaining_ids = cand[remaining]
-                rem_kim = (kim[remaining] > best) | (
-                    (kim[remaining] == best)
-                    & (best_idx != -1)
-                    & (remaining_ids > best_idx)
-                )
-                rem_pre = (pre[remaining] > best) | (
-                    (pre[remaining] == best)
-                    & (best_idx != -1)
-                    & (remaining_ids > best_idx)
-                )
-                n_kim = int(np.count_nonzero(rem_kim))
-                n_yi = int(np.count_nonzero(rem_pre & ~rem_kim))
-                stats.lb_kim += n_kim
-                stats.lb_yi += n_yi
-                stats.lb_keogh += int(remaining.shape[0] - n_kim - n_yi)
-                break
-            if prunable(b, ti):
-                if prunable(float(kim[ti_pos]), ti):
-                    stats.lb_kim += 1
-                elif prunable(float(pre[ti_pos]), ti):
-                    stats.lb_yi += 1
-                else:
-                    stats.lb_keogh += 1
-                continue
-            if ti in confirmed:
-                value, minima = confirmed.pop(ti)
-                d = _replay_dtw(value, minima, nonempty, best)
-            else:
-                d = self._confirm(xv, ti, best)
-            if np.isinf(d):
-                stats.abandoned += 1
-                continue
-            stats.full += 1
-            if d < best or (d == best and (best_idx == -1 or ti < best_idx)):
-                best, best_idx = d, ti
-        return best_idx, (best if best_idx != -1 else np.inf), stats
-
-    def query_batch(
-        self,
-        Q: ArrayLike,
-        cutoff: float = np.inf,
-        n_jobs: Optional[int] = None,
-        backend: Optional[str] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Nearest candidate for every row of ``Q``.
-
-        Queries prune independently (each starting from the shared
-        ``cutoff`` upper bound) so they parallelize over the
-        :func:`repro.parallel.parallel_map` executors; results and
-        statistics are deterministic in the worker count.
-
-        Returns
-        -------
-        (indices, distances):
-            ``(q,)`` integer and float arrays.
-        """
-        data = as_dataset(Q, "Q")
-        check_equal_length(data, self._C)
-        from ..parallel.executors import parallel_map
-
-        cutoff = float(cutoff)
-        seed_pre: Optional[list] = None
-        confirm_pre: Optional[list] = None
-        if self.batch_full and self._fn is None and cutoff >= 0 and len(data) > 1:
-            seed_pre, confirm_pre = self._precompute_batch(data, cutoff)
-
-        results = parallel_map(
-            lambda item: self._query(item[0], cutoff, item[1], item[2]),
-            [
-                (
-                    row,
-                    None if seed_pre is None else seed_pre[qi],
-                    None if confirm_pre is None else confirm_pre[qi],
-                )
-                for qi, row in enumerate(data)
-            ],
-            n_jobs=n_jobs,
-            backend=backend,
-        )
-        indices = np.fromiter((r[0] for r in results), dtype=np.int64)
-        distances = np.fromiter((r[1] for r in results), dtype=np.float64)
-        for _, _, stats in results:
-            self.stats.merge(stats)
-        return indices, distances
+        out[s : s + 1024] = np.sqrt(np.maximum(forward, reverse))
+    return out
 
 
 def pruned_medoid(
@@ -765,16 +269,17 @@ def pruned_medoid(
 ) -> Tuple[int, float]:
     """Index of the member of ``X`` minimizing its summed distance to the rest.
 
-    The medoid-update step of alternating k-medoids, pruned with the same
-    machinery as :class:`NeighborEngine`: the full lower-bound matrix is
-    precomputed vectorized (one engine pass per row), candidates are
+    The medoid-update step of alternating k-medoids, pruned with the
+    LB_Kim → LB_Yi → symmetric LB_Keogh cascade: the full lower-bound
+    matrix is precomputed vectorized (one pass per row), candidates are
     scanned in ascending bound-sum order, every pair inherits the running
     budget ``best_total - partial_sum - remaining_bounds`` as its DTW
     cutoff, and exact symmetric distances are cached so each surviving pair
     is computed once.
 
-    ``metric`` must be (c)DTW-like (see :func:`dtw_window_of`); ``None``
-    confirms with ``(c)DTW`` at ``window``.
+    ``metric`` must be (c)DTW-like (see :func:`dtw_window_of`) and is
+    confirmed at its own window, with Keogh envelopes at the wider of that
+    and ``window``; ``None`` confirms with ``(c)DTW`` at ``window``.
 
     With ``batch_full`` (default), each candidate's surviving pairs are
     confirmed in **one** batched wavefront sweep instead of a scalar DTW
@@ -791,28 +296,35 @@ def pruned_medoid(
         The winning member index and its summed distance.
     """
     data = as_dataset(X, "X")
-    n = data.shape[0]
+    n, m = data.shape
     if n == 1:
         return 0, 0.0
-    engine = NeighborEngine(data, window=window, metric=metric)
-    if engine._fn is not None:
-        raise InvalidParameterError(
-            "pruned_medoid requires a (c)DTW metric; "
-            "got a metric the bounds are not admissible for"
-        )
+    confirm_window = window
+    if metric is not None:
+        is_dtw, confirm_window = dtw_window_of(metric)
+        if not is_dtw:
+            raise InvalidParameterError(
+                "pruned_medoid requires a (c)DTW metric; "
+                f"the lower bounds are not admissible for {metric!r}"
+            )
+    upper, lower = _row_envelopes(data, _envelope_cells(m, window, confirm_window))
+    first, last = data[:, 0], data[:, -1]
+    top, bottom = data.max(axis=1), data.min(axis=1)
     local = PruningStats(candidates=n * (n - 1))
     kim_m = np.empty((n, n))
     yi_m = np.empty((n, n))
     keogh_m = np.empty((n, n))
     rows = np.arange(n)
     for i in range(n):
-        kim_m[i] = engine._kim(data[i])
-        yi_m[i] = engine._yi(data[i])
-        keogh_m[i] = engine._keogh(data[i], rows)
+        kim_m[i] = _lb_kim(data[i], first, last, top, bottom)
+        yi_m[i] = _lb_yi(data[i], top, bottom)
+        keogh_m[i] = _lb_keogh_pairs(
+            data, upper, lower, data, upper, lower, np.full(n, i), rows
+        )
     lb = np.maximum.reduce([kim_m, yi_m, keogh_m])
     np.fill_diagonal(lb, 0.0)
-    w_cells = resolve_window(engine._confirm_window, data.shape[1])
-    nonempty = dtw_nonempty_diagonals(data.shape[1], data.shape[1], w_cells)
+    w_cells = resolve_window(confirm_window, m)
+    nonempty = dtw_nonempty_diagonals(m, m, w_cells)
     lb_sums = lb.sum(axis=1)
     order = np.argsort(lb_sums, kind="stable")
     cache: dict = {}
@@ -861,7 +373,7 @@ def pruned_medoid(
                 if np.isfinite(b0):
                     cut = np.full(len(todo), float(b0) ** 2)
                 costs, minima = _dtw_cost_batch(
-                    np.broadcast_to(data[i], (len(todo), data.shape[1])),
+                    np.broadcast_to(data[i], (len(todo), m)),
                     data[todo_arr],
                     w_cells,
                     cutoff_sq=cut,
@@ -904,7 +416,7 @@ def pruned_medoid(
                     d = dtw(
                         data[i],
                         data[j],
-                        window=engine._confirm_window,
+                        window=confirm_window,
                         cutoff=budget if np.isfinite(budget) else None,
                     )
                 if np.isinf(d):

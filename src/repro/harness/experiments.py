@@ -136,9 +136,10 @@ def evaluate_lb_runtimes(
 ) -> Dict[str, np.ndarray]:
     """Runtimes of the lower-bound-accelerated 1-NN rows of Table 2.
 
-    Each row runs through :class:`repro.distances.NeighborEngine` (LB_Kim →
-    LB_Yi → LB_Keogh cascade plus early-abandoning confirmation), so the
-    accuracies are bit-identical to the corresponding unpruned rows. The
+    Each row runs through the exact :class:`repro.search.CentroidIndex`
+    search (PAA sketch and LB_Keogh bounds plus early-abandoning
+    confirmation), so the accuracies are bit-identical to the
+    corresponding unpruned rows. The
     unconstrained ``DTW_LB`` row uses the full-length envelope window
     (``1.0``), which degenerates to the global extremes and stays
     admissible.

@@ -1,16 +1,9 @@
-"""Subsequence search, anomaly discovery, and candidate routing."""
+"""Subsequence search, anomaly discovery, and nearest-candidate search."""
 
 from .discord import find_discords, matrix_profile
-from .index import CentroidIndex, IndexStats
-from .sketch import (
-    paa_envelope_sketch,
-    paa_lower_bound,
-    paa_query_means,
-    spectral_lower_bound,
-    spectral_sketch,
-)
+from .index import CentroidIndex
+from .sketch import paa_envelope_sketch, paa_lower_bound, paa_query_means
 from .subsequence import best_match, mass, sbd_profile, top_k_matches
-from .tree import SketchTree, build_sketch_tree
 
 __all__ = [
     "mass",
@@ -20,11 +13,6 @@ __all__ = [
     "matrix_profile",
     "find_discords",
     "CentroidIndex",
-    "IndexStats",
-    "SketchTree",
-    "build_sketch_tree",
-    "spectral_sketch",
-    "spectral_lower_bound",
     "paa_envelope_sketch",
     "paa_query_means",
     "paa_lower_bound",

@@ -1,508 +1,145 @@
-"""Coarse-to-fine candidate router: sub-quadratic assignment and 1-NN.
+"""The nearest-candidate search: exact argmin over a fixed candidate set.
 
-k-Shape's serving and clustering paths score every query against all
-``k`` centroids (or all ``n`` training series); PR 4/6 made each
-comparison cheap, so the remaining win is doing *fewer* comparisons.
-:class:`CentroidIndex` routes a query through three tiers:
+Every k-means-style assignment step and every 1-NN query asks one
+question — which candidate is nearest to each query? — and
+:class:`CentroidIndex` is the one place that answers it. It picks its
+strategy from the metric:
 
-1. **Sketch filter** (:mod:`repro.search.sketch`) — one GEMM per query
-   batch bounds every candidate from below: LB_PAA over the candidates'
-   Keogh envelopes for (c)DTW, truncated spectral-magnitude caps for SBD.
-2. **Routing proxy** — a cheap estimate (the PAA-space Euclidean
-   distance for (c)DTW; the sketch bound itself for exact SBD, exact
-   SBD on PAA-coarsened series in approximate mode) picks the *seed*
-   candidate each query confirms first, so the admissible bounds
-   immediately face a near-nearest distance and discard most of the
-   field. In approximate mode the same proxy ranks the beam.
-3. **Exact refine** — surviving pairs are confirmed with the *same*
-   batched kernels the exhaustive paths use (pair-listed FFT
-   cross-correlation under SBD, the early-abandoning
-   :func:`~repro.distances.batch._dtw_cost_batch` wavefront under
-   (c)DTW), so the refine tier runs at dense-kernel speed on exactly
-   the pairs the bounds could not discard.
+* **(c)DTW** (anything :func:`~repro.distances.dtw_window_of`
+  recognizes) — a two-round vectorized scan over the whole query batch:
 
-Batched queries (:meth:`CentroidIndex.query_batch`) run the tiers as a
-two-round vectorized scan: one pair-batched call confirms every query's
-seed, one more confirms all surviving pairs. (c)DTW batches insert a
-vectorized symmetric-LB_Keogh tier between the rounds — the same bound
-the per-query cascade applies, at a fraction of its per-call overhead.
-SBD batches instead carry an escape hatch: queries whose bounds cannot
-prune half the field are answered by the exhaustive broadcast kernel
-directly, so routing degrades to ~dense speed instead of losing to it
-on flat-spectrum workloads. Single queries
-(:meth:`CentroidIndex.query`) in exact mode take the low-latency
-per-query structures: best-first descent of a deterministic cluster tree
-over the centroid sketches (:mod:`repro.search.tree`, SBD — lookup
-visits ``O(log k)`` nodes plus survivors) or the subset-restricted
-:class:`~repro.distances.prune.NeighborEngine` cascade ((c)DTW). All
-these paths are exact, so every path returns the same answers.
+  1. **PAA sketch bound** (:mod:`repro.search.sketch`) — one
+     broadcast bounds every (query, candidate) pair from below with
+     LB_PAA over the candidates' Keogh envelopes, and the PAA-space
+     Euclidean distance (an estimate, never a discard) picks the *seed*
+     each query confirms first;
+  2. **seed confirmation** — one pair-batched
+     :func:`~repro.distances.batch._dtw_cost_batch` wavefront gives
+     every query a real distance, so the bounds face a near-nearest
+     incumbent at once;
+  3. **symmetric LB_Keogh** on the pairs the PAA bound left;
+  4. **early-abandoned confirmation** of the survivors in one more
+     wavefront sweep, each pair abandoned once its cost provably exceeds
+     its query's seed distance.
 
-Two modes:
+* **any other metric** — the dense
+  :func:`~repro.distances.cross_distances` matrix and its row argmin.
 
-* ``mode="exact"`` (default) — every discard is justified by an
-  admissible lower bound, so returned argmins (ties included: lowest
-  index wins) and distances are **bit-identical** to the exhaustive
-  scans. The sketch bounds carry a float-safety margin
-  (:data:`~repro.search.sketch.FLOAT_SAFETY`) so rounding can never turn
-  a mathematically-tight bound into a wrong discard.
-* ``mode="approx"`` — additionally caps the exact tier at ``beam_width``
-  confirmed candidates per query, ranked by the routing proxy;
-  candidates beyond the beam are skipped *without* a bound proof and
-  counted as ``routed_out``. :meth:`CentroidIndex.evaluate_recall`
-  measures the resulting argmin recall against the exhaustive scan and
-  records it in :class:`IndexStats`.
-
-The ``clamp_negative`` knob mirrors a quirk of the exhaustive baselines:
-:func:`~repro.distances.matrix.sbd_matrix` clamps tiny negative SBD cells
-to 0 while :class:`~repro.serving.ShapePredictor`'s internal matrix does
-not. Exact-mode bit-identity holds against whichever baseline the flag
-selects.
+Both strategies are exact: every discard is justified by an admissible
+lower bound (the PAA bound carries a float-safety margin,
+:data:`~repro.search.sketch.FLOAT_SAFETY`), confirmed cells come from the
+kernels the dense matrix uses, and ties go to the lowest candidate index.
+Indices and distances are therefore **bit-identical** to
+``argmin(cross_distances(Q, candidates, metric))``.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .._validation import as_dataset, as_series, check_equal_length, check_positive_int
-from ..core._fft_batch import fft_len_for, ncc_c_max_multi, rfft_batch
+from .._validation import as_dataset, as_series, check_equal_length
+from ..distances.base import get_distance
 from ..distances.batch import _dtw_cost_batch
 from ..distances.dtw import resolve_window
-from ..distances.lower_bounds import keogh_envelope
 from ..distances.matrix import cross_distances
-from ..distances.prune import NeighborEngine, PruningStats, dtw_window_of
+from ..distances.prune import (
+    PruningStats,
+    _envelope_cells,
+    _lb_keogh_pairs,
+    _row_envelopes,
+    dtw_window_of,
+)
 from ..exceptions import InvalidParameterError
 from ..preprocessing.reduction import paa_edges
-from .sketch import (
-    paa_envelope_sketch,
-    paa_lower_bound,
-    paa_query_means,
-    sketch_defaults,
-    spectral_lower_bound,
-    spectral_sketch,
-)
-from .tree import SketchTree, build_sketch_tree
+from .sketch import paa_envelope_sketch, paa_lower_bound, paa_query_means
 
-__all__ = ["IndexStats", "CentroidIndex"]
-
-
-@dataclass
-class IndexStats:
-    """Per-tier accounting of routed searches.
-
-    Attributes
-    ----------
-    queries:
-        Queries routed.
-    candidates:
-        Total (query, candidate) pairs considered.
-    sketch_pruned:
-        Pairs discarded by an admissible sketch/tree bound — never any
-        effect on results.
-    routed_out:
-        Pairs skipped beyond the approximate beam *without* a bound proof
-        (always 0 in exact mode); the source of any recall loss.
-    confirmed:
-        Pairs handed to the exact tier (seeds plus bound survivors).
-    nodes_visited:
-        Tree nodes expanded or confirmed during single-query SBD descent
-        (batched queries scan candidate bounds directly and leave this 0).
-    leaves_confirmed:
-        Tree leaves whose members were scored exactly (descent path only).
-    recall_checked / recall_hits:
-        Queries verified by :meth:`CentroidIndex.evaluate_recall` and how
-        many of them matched the exhaustive argmin.
-    pruning:
-        :class:`~repro.distances.PruningStats` of the (c)DTW exact tier
-        (all-zero under SBD); its ``candidates`` equals ``confirmed``.
-
-    The tiers partition the work:
-    ``candidates == sketch_pruned + routed_out + confirmed``.
-    """
-
-    queries: int = 0
-    candidates: int = 0
-    sketch_pruned: int = 0
-    routed_out: int = 0
-    confirmed: int = 0
-    nodes_visited: int = 0
-    leaves_confirmed: int = 0
-    recall_checked: int = 0
-    recall_hits: int = 0
-    pruning: PruningStats = field(default_factory=PruningStats)
-
-    def merge(self, other: "IndexStats") -> "IndexStats":
-        """Accumulate ``other``'s counters into this instance (returns self)."""
-        for name in self.__dataclass_fields__:
-            if name == "pruning":
-                self.pruning.merge(other.pruning)
-            else:
-                setattr(self, name, getattr(self, name) + getattr(other, name))
-        return self
-
-    @property
-    def sketch_prune_rate(self) -> float:
-        """Fraction of pairs discarded before the exact tier ever saw them."""
-        return self.sketch_pruned / self.candidates if self.candidates else 0.0
-
-    @property
-    def recall(self) -> Optional[float]:
-        """Measured argmin recall, or ``None`` before any evaluation."""
-        if not self.recall_checked:
-            return None
-        return self.recall_hits / self.recall_checked
-
-    def as_dict(self) -> Dict[str, Any]:
-        """Counters plus derived rates, ready for JSON reports."""
-        out: Dict[str, Any] = {
-            name: getattr(self, name)
-            for name in self.__dataclass_fields__
-            if name != "pruning"
-        }
-        out["sketch_prune_rate"] = self.sketch_prune_rate
-        out["recall"] = self.recall
-        out["pruning"] = self.pruning.as_dict()
-        return out
+__all__ = ["CentroidIndex"]
 
 
 class CentroidIndex:
-    """Three-tier candidate router over a fixed candidate set.
+    """Exact nearest-candidate search over a fixed candidate set.
 
     Parameters
     ----------
-    centroids:
+    candidates:
         ``(k, m)`` candidate set (cluster centroids, medoid sequences, or
         a 1-NN training set).
     metric:
-        ``"sbd"`` or anything :func:`~repro.distances.dtw_window_of`
-        recognizes as (c)DTW. Other metrics raise — the sketch bounds are
-        not admissible for them.
-    mode:
-        ``"exact"`` (default) or ``"approx"`` (see module docstring).
+        Registered distance name or callable. (c)DTW metrics (see
+        :func:`~repro.distances.dtw_window_of`) take the pruned scan,
+        everything else the dense matrix.
     window:
-        Extra Sakoe-Chiba envelope window for (c)DTW metrics, forwarded
-        to :class:`~repro.distances.NeighborEngine` (the envelope uses
-        the wider of this and the metric's own window). Must be ``None``
-        under SBD.
-    n_segments:
-        PAA segment count of the (c)DTW sketch tier (``None`` picks
-        ``~m/8`` clamped to ``[2, 64]``). Under SBD it instead sets the
-        resolution of the reduced-SBD routing proxy that picks seeds and
-        ranks the approximate beam (``None`` picks ``~m/8`` clamped to
-        ``[32, 64]``).
-    n_bins:
-        Head frequencies kept by the SBD spectral sketches; ``None``
-        keeps 32 (or fewer for short series).
-    leaf_size:
-        Max members per SBD tree leaf.
-    beam_width:
-        Approximate-mode budget: bound-surviving candidates confirmed
-        exactly per query beyond the seed, best-proxy first. ``None``
-        defaults to a quarter of the candidates under SBD and half under
-        (c)DTW — at the default proxy resolutions measured recall is
-        ~1.0 on clustered data while most refine work is skipped.
-        Ignored in exact mode.
-    clamp_negative:
-        Clamp confirmed SBD cells at 0, matching
-        :func:`~repro.distances.sbd_matrix` /
-        :func:`~repro.distances.cross_distances` (the clustering and 1-NN
-        baselines). Pass ``False`` to match
-        :class:`~repro.serving.ShapePredictor`'s unclamped internal
-        matrix. Irrelevant under (c)DTW.
+        Extra Sakoe-Chiba window for the Keogh envelopes of a (c)DTW
+        metric: the envelope uses the wider of this and the metric's own
+        window, so the bounds stay admissible. Raises
+        :class:`~repro.exceptions.InvalidParameterError` for any other
+        metric, which the bounds are not proven admissible for.
 
     Attributes
     ----------
     stats:
-        Cumulative :class:`IndexStats` over all queries.
+        Cumulative :class:`~repro.distances.PruningStats` over all
+        queries. The dense strategy counts every pair as ``full``.
     """
 
     def __init__(
-        self,
-        centroids: ArrayLike,
-        metric: object = "sbd",
-        mode: str = "exact",
-        window: object = None,
-        n_segments: Optional[int] = None,
-        n_bins: Optional[int] = None,
-        leaf_size: int = 8,
-        beam_width: Optional[int] = None,
-        clamp_negative: bool = True,
+        self, candidates: ArrayLike, metric: object, window: object = None
     ) -> None:
-        C = as_dataset(centroids, "centroids")
-        self.centroids = C
+        C = as_dataset(candidates, "candidates")
+        self.candidates = C
         self.n_candidates, self.m = C.shape
-        if mode not in ("exact", "approx"):
-            raise InvalidParameterError(
-                f"mode must be 'exact' or 'approx', got {mode!r}"
-            )
-        self.mode = mode
         self.metric = metric
-        self.clamp_negative = bool(clamp_negative)
-        self._is_sbd = isinstance(metric, str) and metric.lower() == "sbd"
-        self._engine: Optional[NeighborEngine] = None
-        self._tree: Optional[SketchTree] = None
-        if self._is_sbd:
+        self.stats = PruningStats()
+        self._is_dtw, metric_window = dtw_window_of(metric)
+        if not self._is_dtw:
             if window is not None:
                 raise InvalidParameterError(
-                    "window only applies to (c)DTW metrics, not 'sbd'"
+                    "window sets the (c)DTW lower-bound envelope; the bounds "
+                    f"are not admissible for {metric!r}"
                 )
-            self._fft_len = fft_len_for(self.m)
-            self._fft_C = rfft_batch(C, self._fft_len)
-            # The two exhaustive baselines differ in the last ulp of the
-            # centroid norms: sbd_matrix reduces each row with the 1-D
-            # np.linalg.norm (BLAS dot) while the predictor's matrix uses
-            # the axis-wise form (pairwise sum). Bit-identity requires
-            # using whichever convention the selected baseline uses.
-            if self.clamp_negative:
-                self._norms_C = np.fromiter(
-                    (float(np.linalg.norm(C[j])) for j in range(self.n_candidates)),
-                    dtype=np.float64,
-                    count=self.n_candidates,
-                )
-            else:
-                self._norms_C = np.linalg.norm(C, axis=1)
-            _, bins_default = sketch_defaults(self.m, self._fft_C.shape[-1])
-            self.n_bins = (
-                bins_default
-                if n_bins is None
-                else min(check_positive_int(n_bins, "n_bins"), self._fft_C.shape[-1])
-            )
-            self._c_head, self._c_tail = spectral_sketch(
-                self._fft_C, self._norms_C, self._fft_len, self.n_bins
-            )
-            self._tree = build_sketch_tree(
-                self._c_head, self._c_tail, leaf_size=leaf_size
-            )
-            # Approximate-mode routing proxy: exact SBD at reduced PAA
-            # resolution. Unlike the admissible spectral bound it keeps
-            # phase/shape information, so its ordering tracks the true
-            # SBD ordering closely even on flat-spectrum data where
-            # magnitude-only bounds stop discriminating.
-            # The floor of 32 (not 16) matters: at 16 segments the proxy
-            # ordering on long clustered series drifts enough to cost
-            # ~1% recall at the default beam, while the extra resolution
-            # is timing noise next to the confirm tier.
-            seg_default = int(min(self.m, 64, max(32, self.m // 8)))
-            self.n_segments = (
-                seg_default
-                if n_segments is None
-                else min(check_positive_int(n_segments, "n_segments"), self.m)
-            )
-            self._proxy_edges = paa_edges(self.m, self.n_segments)
-            C_red = paa_query_means(C, self._proxy_edges)
-            self._proxy_m = C_red.shape[1]
-            self._proxy_fft_len = fft_len_for(self._proxy_m)
-            self._fft_C_red = rfft_batch(C_red, self._proxy_fft_len)
-            self._norms_C_red = np.linalg.norm(C_red, axis=1)
-            # A quarter of the candidates, floored at 8 so small candidate
-            # sets keep enough beam for ~0.99+ measured recall.
-            default_beam = min(
-                self.n_candidates, max(8, -(-self.n_candidates // 4))
-            )
-        else:
-            is_dtw, self._metric_window = dtw_window_of(metric)
-            if not is_dtw:
+            if isinstance(metric, str):
+                get_distance(metric)  # fail fast on unknown names
+            elif not callable(metric):
                 raise InvalidParameterError(
-                    "CentroidIndex requires metric='sbd' or a (c)DTW metric; "
-                    f"the sketch bounds are not admissible for {metric!r}"
+                    f"metric must be a distance name or callable, got {metric!r}"
                 )
-            self._engine = NeighborEngine(C, window=window, metric=metric)
-            self._w_cells = resolve_window(self._metric_window, self.m)
-            seg_default, _ = sketch_defaults(self.m, 1)
-            self.n_segments = (
-                seg_default
-                if n_segments is None
-                else check_positive_int(n_segments, "n_segments")
-            )
-            self._edges = paa_edges(self.m, min(self.n_segments, self.m))
-            self._counts = np.diff(self._edges).astype(np.float64)
-            # The engine's envelopes are exactly the ones LB_PAA must
-            # coarsen (same window as the confirming metric).
-            self._u_hat, self._l_hat = paa_envelope_sketch(
-                self._engine._upper, self._engine._lower, self._edges
-            )
-            # Candidate PAA means: the approximate beam ranks survivors by
-            # PAA-space Euclidean distance, which keeps discriminating
-            # when the admissible bounds all collapse to 0 (every query
-            # inside every envelope).
-            self._c_means = paa_query_means(C, self._edges)
-            default_beam = max(1, -(-(self.n_candidates - 1) // 2))
-        self.beam_width = (
-            default_beam
-            if beam_width is None
-            else check_positive_int(beam_width, "beam_width")
+            return
+        self._w_cells = resolve_window(metric_window, self.m)
+        self._env_cells = _envelope_cells(self.m, window, metric_window)
+        self._upper, self._lower = _row_envelopes(C, self._env_cells)
+        n_segments = int(min(max(2, self.m // 8), 64, self.m))
+        self._edges = paa_edges(self.m, n_segments)
+        self._counts = np.diff(self._edges).astype(np.float64)
+        self._u_hat, self._l_hat = paa_envelope_sketch(
+            self._upper, self._lower, self._edges
         )
-        self.stats = IndexStats()
+        self._c_means = paa_query_means(C, self._edges)
 
     # -- exact cells ---------------------------------------------------------
 
     def exact_distances(self, X: ArrayLike, candidates: ArrayLike) -> np.ndarray:
         """``(q, c)`` exact distances of queries to selected candidates.
 
-        Each cell is computed with the same kernel the exhaustive
-        baselines use (batched NCC under SBD, honoring
-        ``clamp_negative``; the :func:`~repro.distances.dtw_batch`
-        wavefront otherwise), so values are bit-identical to the
-        corresponding cells of the full matrix.
+        Bit-identical to the corresponding columns of
+        ``cross_distances(X, self.candidates, metric)``: (c)DTW cells come
+        from the same wavefront kernel pair by pair, other metrics from
+        that very matrix (dense kernels such as the Euclidean GEMM are
+        only reproducible for the same operand shapes).
         """
         data = as_dataset(X, "X")
-        check_equal_length(data, self.centroids)
+        check_equal_length(data, self.candidates)
         cand = np.asarray(candidates, dtype=np.int64).reshape(-1)
-        if cand.shape[0] and (
-            cand.min() < 0 or cand.max() >= self.n_candidates
-        ):
-            raise InvalidParameterError(
-                "candidates contains out-of-range indices"
-            )
-        if self._is_sbd:
-            fft_Q = rfft_batch(data, self._fft_len)
-            norms_Q = np.linalg.norm(data, axis=1)
-            values, _ = ncc_c_max_multi(
-                fft_Q,
-                norms_Q,
-                self._fft_C[cand],
-                self._norms_C[cand],
-                self.m,
-                self._fft_len,
-            )
-            out = 1.0 - values.T
-            if self.clamp_negative:
-                np.maximum(out, 0.0, out=out)
-            return out
-        if data.shape[0] == 0 or cand.shape[0] == 0:
-            return np.empty((data.shape[0], cand.shape[0]))
+        if cand.shape[0] and (cand.min() < 0 or cand.max() >= self.n_candidates):
+            raise InvalidParameterError("candidates contains out-of-range indices")
+        if not self._is_dtw:
+            return cross_distances(data, self.candidates, metric=self.metric)[:, cand]
         qs = np.repeat(np.arange(data.shape[0]), cand.shape[0])
         cs = np.tile(cand, data.shape[0])
         d = self._dtw_pairs(data, qs, cs, None)
         return d.reshape(data.shape[0], cand.shape[0])
-
-    def _exhaustive_argmin(self, data: np.ndarray) -> np.ndarray:
-        """Reference argmins from the full exhaustive distance matrix."""
-        if self._is_sbd:
-            dists = self.exact_distances(data, np.arange(self.n_candidates))
-        else:
-            dists = cross_distances(data, self.centroids, metric=self.metric)
-        return np.argmin(dists, axis=1)
-
-    # -- SBD routing ---------------------------------------------------------
-
-    def _descend_sbd(
-        self,
-        fft_q: np.ndarray,
-        norm_q: np.ndarray,
-        node_bounds: np.ndarray,
-        stats: IndexStats,
-    ) -> Tuple[int, float]:
-        """Best-first tree descent for one query (exact mode)."""
-        tree = self._tree
-        assert tree is not None
-        stats.candidates += self.n_candidates
-        best = np.inf
-        best_idx = -1
-        heap: List[Tuple[float, int, int]] = [
-            (float(node_bounds[0]), int(tree.node_min[0]), 0)
-        ]
-        while heap:
-            b, mi, node = heapq.heappop(heap)
-            if b > best or (b == best and best_idx != -1 and mi > best_idx):
-                # The heap is ordered by (bound, min_index): everything
-                # still queued is prunable by the same test.
-                stats.sketch_pruned += int(tree.node_size[node])
-                stats.sketch_pruned += int(
-                    sum(tree.node_size[n] for _, _, n in heap)
-                )
-                break
-            stats.nodes_visited += 1
-            if tree.is_leaf(node):
-                jm, dm = self._confirm_leaf_sbd(fft_q, norm_q, node, stats)
-                if dm < best or (
-                    dm == best and (best_idx == -1 or jm < best_idx)
-                ):
-                    best, best_idx = dm, jm
-            else:
-                for child in (int(tree.left[node]), int(tree.right[node])):
-                    heapq.heappush(
-                        heap,
-                        (
-                            float(node_bounds[child]),
-                            int(tree.node_min[child]),
-                            child,
-                        ),
-                    )
-        return best_idx, best
-
-    def _confirm_leaf_sbd(
-        self,
-        fft_q: np.ndarray,
-        norm_q: np.ndarray,
-        node: int,
-        stats: IndexStats,
-    ) -> Tuple[int, float]:
-        """Exactly score one leaf's members; returns the leaf's argmin."""
-        tree = self._tree
-        assert tree is not None
-        members = tree.members[node]
-        values, _ = ncc_c_max_multi(
-            fft_q,
-            norm_q,
-            self._fft_C[members],
-            self._norms_C[members],
-            self.m,
-            self._fft_len,
-        )
-        d = 1.0 - values[:, 0]
-        if self.clamp_negative:
-            np.maximum(d, 0.0, out=d)
-        stats.confirmed += int(members.shape[0])
-        stats.leaves_confirmed += 1
-        pos = int(np.argmin(d))
-        return int(members[pos]), float(d[pos])
-
-    def _ncc_pairs(
-        self,
-        fft_Q: np.ndarray,
-        norms_Q: np.ndarray,
-        qs: np.ndarray,
-        cs: np.ndarray,
-    ) -> np.ndarray:
-        """Exact SBD for an explicit (query, candidate) pair list.
-
-        Pair-listed replica of
-        :func:`~repro.core._fft_batch.ncc_c_max_multi` — identical irfft
-        length, shift-window assembly, argmax selection, and guarded
-        normalization — so each cell is bit-identical to the full-matrix
-        kernel (irfft over a batch is shape-invariant and every other
-        step is elementwise).
-        """
-        m = self.m
-        out = np.empty(qs.shape[0])
-        # Same ~8 MB working-set cap as the dense kernel's ref chunking.
-        chunk = max(1, int(8 * 1024 * 1024 // max(self._fft_len * 8, 1)))
-        for s in range(0, qs.shape[0], chunk):
-            q = qs[s : s + chunk]
-            c = cs[s : s + chunk]
-            cc = np.fft.irfft(
-                fft_Q[q] * np.conj(self._fft_C[c]), self._fft_len, axis=-1
-            )
-            if m > 1:
-                full = np.concatenate(
-                    (cc[:, -(m - 1):], cc[:, :m]), axis=-1
-                )
-            else:
-                full = cc[:, :1]
-            idx = np.argmax(full, axis=-1)
-            vals = full[np.arange(full.shape[0]), idx]
-            denom = self._norms_C[c] * norms_Q[q]
-            ncc = np.zeros(vals.shape[0])
-            np.divide(vals, denom, out=ncc, where=denom > 1e-12)
-            out[s : s + chunk] = 1.0 - ncc
-        if self.clamp_negative:
-            np.maximum(out, 0.0, out=out)
-        return out
 
     def _dtw_pairs(
         self,
@@ -527,51 +164,36 @@ class CentroidIndex:
             sl = slice(s, s + 4096)
             costs, _ = _dtw_cost_batch(
                 data[qs[sl]],
-                self.centroids[cs[sl]],
+                self.candidates[cs[sl]],
                 self._w_cells,
                 None if cut_sq is None else cut_sq[sl],
             )
             out[sl] = np.sqrt(costs)
         return out
 
-    # -- batched two-round scan ----------------------------------------------
+    # -- strategies ----------------------------------------------------------
 
-    def _batch_route(
-        self,
-        bounds: np.ndarray,
-        proxy: np.ndarray,
-        confirm: Callable[
-            [np.ndarray, np.ndarray, Optional[np.ndarray]], np.ndarray
-        ],
-        stats: IndexStats,
-        refine: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
-        dense: Optional[
-            Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
-        ] = None,
+    def _scan_dtw(
+        self, data: np.ndarray, stats: PruningStats
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized routing of a query batch against all candidates.
+        """The pruned two-round scan (see the module docstring)."""
+        q, k = data.shape[0], self.n_candidates
+        q_means = paa_query_means(data, self._edges)
+        bounds = paa_lower_bound(q_means, self._u_hat, self._l_hat, self._counts)
+        # Squared weighted PAA distance — a DTW *estimate*, not a bound; it
+        # only picks seeds, never justifies a discard.
+        diff = q_means[:, None, :] - self._c_means[None, :, :]
+        proxy = np.einsum("qks,qks,s->qk", diff, diff, self._counts)
 
-        ``bounds`` is the ``(q, k)`` admissible lower-bound matrix,
-        ``proxy`` the ``(q, k)`` routing-proxy matrix, and
-        ``confirm(qs, cs, cutoff)`` returns exact distances for explicit
-        pair lists (``cutoff`` is ``None`` on the seed round). Round one
-        confirms each query's proxy-argmin seed; round two confirms
-        every pair that still survives after
+        def confirm(
+            qs: np.ndarray, cs: np.ndarray, cutoff: Optional[np.ndarray]
+        ) -> np.ndarray:
+            d = self._dtw_pairs(data, qs, cs, cutoff)
+            finite = int(np.sum(np.isfinite(d)))
+            stats.full += finite
+            stats.abandoned += int(qs.shape[0]) - finite
+            return d
 
-        * an optional second admissible bound tier — ``refine(qs, cs)``,
-          tighter per-pair bounds for the first tier's survivors (the
-          (c)DTW path's vectorized LB_Keogh);
-        * an optional ``dense(rows)`` escape hatch: in exact mode,
-          queries keeping more than half their candidates are answered
-          by an exhaustive row scan instead — when the bounds cannot
-          prune, the broadcast dense kernel beats gather-based
-          pair confirmation, so routing degrades gracefully instead of
-          losing to the baseline (SBD on flat-spectrum workloads);
-        * the ``beam_width`` proxy-best cap per query (approximate mode
-          only).
-        """
-        q, k = bounds.shape
-        stats.candidates += q * k
         rows = np.arange(q)
         cols = np.arange(k)
         seeds = np.argmin(proxy, axis=1).astype(np.int64)
@@ -584,280 +206,70 @@ class CentroidIndex:
             | ((bounds == best[:, None]) & (cols[None, :] > best_idx[:, None]))
         )
         survivor[rows, seeds] = False
-        if refine is not None:
-            rq, rc = np.nonzero(survivor)
-            if rq.shape[0]:
-                lb = refine(rq, rc)
-                drop = (lb > best[rq]) | ((lb == best[rq]) & (rc > best_idx[rq]))
-                survivor[rq[drop], rc[drop]] = False
-        dense_rows = np.empty(0, dtype=np.int64)
-        if dense is not None and self.mode == "exact":
-            counts = survivor.sum(axis=1)
-            dense_rows = np.flatnonzero(counts > k // 2)
-            if dense_rows.shape[0]:
-                survivor[dense_rows] = False
-        routed = 0
-        if self.mode == "approx":
-            masked = np.where(survivor, proxy, np.inf)
-            order = np.argsort(masked, axis=1, kind="stable")
-            keep = np.zeros_like(survivor)
-            np.put_along_axis(keep, order[:, : self.beam_width], True, axis=1)
-            keep &= survivor
-            routed = int(np.sum(survivor)) - int(np.sum(keep))
-            survivor = keep
         qs, cs = np.nonzero(survivor)
-        n_dense = int(dense_rows.shape[0])
-        stats.routed_out += routed
-        stats.confirmed += q + qs.shape[0] + n_dense * (k - 1)
-        stats.sketch_pruned += (
-            q * k - q - qs.shape[0] - routed - n_dense * (k - 1)
-        )
+        stats.lb_paa += q * (k - 1) - qs.shape[0]
+        if qs.shape[0]:
+            q_upper, q_lower = _row_envelopes(data, self._env_cells)
+            lb = _lb_keogh_pairs(
+                data, q_upper, q_lower,
+                self.candidates, self._upper, self._lower, qs, cs,
+            )
+            keep = ~((lb > best[qs]) | ((lb == best[qs]) & (cs > best_idx[qs])))
+            stats.lb_keogh += int(qs.shape[0] - np.count_nonzero(keep))
+            qs, cs = qs[keep], cs[keep]
         if qs.shape[0]:
             d = confirm(qs, cs, best[qs])
-            # Per-query minimum with the lowest index winning ties: sort
-            # by (query, distance, candidate) and take each query's first
-            # row.
-            order2 = np.lexsort((cs, d, qs))
-            qs2, cs2, d2 = qs[order2], cs[order2], d[order2]
+            # Per-query minimum with the lowest index winning ties: sort by
+            # (query, distance, candidate) and take each query's first row.
+            order = np.lexsort((cs, d, qs))
+            qs2, cs2, d2 = qs[order], cs[order], d[order]
             uq, first = np.unique(qs2, return_index=True)
             bd, bc = d2[first], cs2[first]
             upd = (bd < best[uq]) | ((bd == best[uq]) & (bc < best_idx[uq]))
-            rows_upd = uq[upd]
-            best[rows_upd] = bd[upd]
-            best_idx[rows_upd] = bc[upd]
-        if n_dense:
-            assert dense is not None
-            didx, dd = dense(dense_rows)
-            best_idx[dense_rows] = didx
-            best[dense_rows] = dd
+            best[uq[upd]] = bd[upd]
+            best_idx[uq[upd]] = bc[upd]
         return best_idx, best
-
-    def _query_batch_sbd(
-        self, data: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        fft_Q = rfft_batch(data, self._fft_len)
-        norms_Q = np.linalg.norm(data, axis=1)
-        q_head, q_tail = spectral_sketch(
-            fft_Q, norms_Q, self._fft_len, self.n_bins
-        )
-        # One GEMM bounds every (query, candidate) pair.
-        bounds = spectral_lower_bound(
-            q_head, q_tail, self._c_head, self._c_tail
-        )
-        if self.clamp_negative:
-            np.maximum(bounds, 0.0, out=bounds)
-        if self.mode == "approx":
-            # Reduced-resolution SBD proxy: exact NCC on the PAA-coarsened
-            # series, one small batched FFT pass for the whole batch.
-            Q_red = paa_query_means(data, self._proxy_edges)
-            fft_Q_red = rfft_batch(Q_red, self._proxy_fft_len)
-            norms_Q_red = np.linalg.norm(Q_red, axis=1)
-            values, _ = ncc_c_max_multi(
-                fft_Q_red,
-                norms_Q_red,
-                self._fft_C_red,
-                self._norms_C_red,
-                self._proxy_m,
-                self._proxy_fft_len,
-            )
-            proxy = 1.0 - values.T
-        else:
-            # Exact mode only needs the proxy for seeding, and the
-            # spectral bound is discriminative exactly on the workloads
-            # it can prune — reuse it and skip the reduced-SBD pass
-            # (queries it cannot seed well fall back to the dense scan).
-            proxy = bounds
-
-        def confirm(
-            qs: np.ndarray, cs: np.ndarray, cutoff: Optional[np.ndarray]
-        ) -> np.ndarray:
-            # FFT cross-correlation has no early-abandon; cutoff unused.
-            return self._ncc_pairs(fft_Q, norms_Q, qs, cs)
-
-        def dense(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            # Exhaustive rows through the same broadcast kernel the
-            # baselines call — per-cell values are chunk-invariant, so
-            # the subset rows match the full matrix bit-for-bit.
-            values, _ = ncc_c_max_multi(
-                fft_Q[rows],
-                norms_Q[rows],
-                self._fft_C,
-                self._norms_C,
-                self.m,
-                self._fft_len,
-            )
-            out = 1.0 - values.T
-            if self.clamp_negative:
-                np.maximum(out, 0.0, out=out)
-            idx = np.argmin(out, axis=1)
-            return idx, out[np.arange(rows.shape[0]), idx]
-
-        local = IndexStats(queries=data.shape[0])
-        indices, dists = self._batch_route(
-            bounds, proxy, confirm, local, dense=dense
-        )
-        self.stats.merge(local)
-        return indices, dists
-
-    # -- (c)DTW routing ------------------------------------------------------
-
-    def _route_dtw(
-        self,
-        xv: np.ndarray,
-        lb_row: np.ndarray,
-        stats: IndexStats,
-    ) -> Tuple[int, float]:
-        """Single-query exact path: sketch filter, then the engine cascade."""
-        engine = self._engine
-        assert engine is not None
-        k = self.n_candidates
-        stats.candidates += k
-        # Seed: confirm the best-bounded candidate exactly so every other
-        # candidate faces a real distance, not just inf.
-        seed = int(np.argmin(lb_row))
-        d_seed = float(engine._confirm(xv, seed, np.inf))
-        local = PruningStats(candidates=1, full=1)
-        best, best_idx = d_seed, seed
-        ids = np.arange(k)
-        others = ids != seed
-        prunable = (lb_row > best) | ((lb_row == best) & (ids > best_idx))
-        survivors = ids[others & ~prunable]
-        stats.sketch_pruned += int(k - 1 - survivors.shape[0])
-        eidx, edist, estats = engine._query(xv, best, subset=survivors)
-        local.merge(estats)
-        stats.confirmed += 1 + int(survivors.shape[0])
-        stats.pruning.merge(local)
-        if eidx != -1 and (
-            edist < best or (edist == best and eidx < best_idx)
-        ):
-            best, best_idx = float(edist), int(eidx)
-        return best_idx, best
-
-    def _query_batch_dtw(
-        self, data: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        q_means = paa_query_means(data, self._edges)
-        bounds = paa_lower_bound(
-            q_means, self._u_hat, self._l_hat, self._counts
-        )
-        # Squared weighted PAA distance — a DTW *estimate*, not a bound;
-        # it only picks seeds and ranks the approximate beam, never
-        # justifies an exact-mode discard.
-        diff = q_means[:, None, :] - self._c_means[None, :, :]
-        proxy = np.einsum("qks,qks,s->qk", diff, diff, self._counts)
-        local = IndexStats(queries=data.shape[0])
-
-        engine = self._engine
-        assert engine is not None
-        q_upper, q_lower = keogh_envelope(data, engine.window_cells_)
-
-        def refine(qs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-            # Pair-listed symmetric LB_Keogh at the engine's envelope
-            # window — the same bound the per-query cascade applies, so
-            # every drop it certifies is admissible.
-            out = np.empty(qs.shape[0])
-            for s in range(0, qs.shape[0], 8192):
-                sq, sc = qs[s : s + 8192], cs[s : s + 8192]
-                above = np.maximum(data[sq] - engine._upper[sc], 0.0)
-                below = np.maximum(engine._lower[sc] - data[sq], 0.0)
-                forward = np.einsum("ij,ij->i", above, above) + np.einsum(
-                    "ij,ij->i", below, below
-                )
-                above_r = np.maximum(self.centroids[sc] - q_upper[sq], 0.0)
-                below_r = np.maximum(q_lower[sq] - self.centroids[sc], 0.0)
-                reverse = np.einsum("ij,ij->i", above_r, above_r) + np.einsum(
-                    "ij,ij->i", below_r, below_r
-                )
-                out[s : s + 8192] = np.sqrt(np.maximum(forward, reverse))
-            return out
-
-        def confirm(
-            qs: np.ndarray, cs: np.ndarray, cutoff: Optional[np.ndarray]
-        ) -> np.ndarray:
-            d = self._dtw_pairs(data, qs, cs, cutoff)
-            finite = int(np.sum(np.isfinite(d)))
-            local.pruning.candidates += int(qs.shape[0])
-            local.pruning.full += finite
-            local.pruning.abandoned += int(qs.shape[0]) - finite
-            return d
-
-        indices, dists = self._batch_route(
-            bounds, proxy, confirm, local, refine=refine
-        )
-        self.stats.merge(local)
-        return indices, dists
 
     # -- public queries ------------------------------------------------------
 
-    def query(self, x: ArrayLike) -> Tuple[int, float]:
-        """Nearest candidate to one series: ``(index, distance)``.
-
-        Exact mode matches the exhaustive scan bit-for-bit (argmin ties
-        resolve to the lowest index) and routes through the low-latency
-        per-query structures — tree descent under SBD, the pruned engine
-        cascade under (c)DTW. Approximate mode answers through a one-row
-        :meth:`query_batch` so single and batched queries always agree.
-        """
-        xv = as_series(x, "x")
-        check_equal_length(xv, self.centroids)
-        if self.mode == "approx":
-            indices, dists = self.query_batch(xv.reshape(1, -1))
-            return int(indices[0]), float(dists[0])
-        local = IndexStats(queries=1)
-        if self._is_sbd:
-            tree = self._tree
-            assert tree is not None
-            row = xv.reshape(1, -1)
-            fft_q = rfft_batch(row, self._fft_len)
-            norm_q = np.linalg.norm(row, axis=1)
-            q_head, q_tail = spectral_sketch(
-                fft_q, norm_q, self._fft_len, self.n_bins
-            )
-            node_bounds = spectral_lower_bound(
-                q_head, q_tail, tree.node_head, tree.node_tail
-            )
-            if self.clamp_negative:
-                np.maximum(node_bounds, 0.0, out=node_bounds)
-            idx, dist = self._descend_sbd(fft_q, norm_q, node_bounds[0], local)
-        else:
-            q_means = paa_query_means(xv.reshape(1, -1), self._edges)
-            lb = paa_lower_bound(
-                q_means, self._u_hat, self._l_hat, self._counts
-            )
-            idx, dist = self._route_dtw(xv, lb[0], local)
-        self.stats.merge(local)
-        return int(idx), float(dist)
-
-    def query_batch(self, Q: ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
+    def query_batch(
+        self,
+        Q: ArrayLike,
+        n_jobs: Optional[int] = None,
+        backend: Optional[str] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Nearest candidate for every row of ``Q``.
+
+        ``n_jobs``/``backend`` parallelize the dense strategy's
+        :func:`~repro.distances.cross_distances` (see :mod:`repro.parallel`);
+        the (c)DTW scan is vectorized over the batch and runs in the
+        calling thread.
 
         Returns
         -------
         (indices, distances):
-            ``(q,)`` integer and float arrays. Every kernel involved
-            evaluates each (query, candidate) cell independently, so
-            batched and per-series answers are exactly equal.
+            ``(q,)`` integer and float arrays: the lowest index attaining
+            each row's minimum distance, and that distance.
         """
         data = as_dataset(Q, "Q")
-        check_equal_length(data, self.centroids)
-        if self._is_sbd:
-            return self._query_batch_sbd(data)
-        return self._query_batch_dtw(data)
+        check_equal_length(data, self.candidates)
+        q, k = data.shape[0], self.n_candidates
+        local = PruningStats(queries=q, candidates=q * k)
+        if self._is_dtw:
+            indices, dists = self._scan_dtw(data, local)
+        else:
+            D = cross_distances(
+                data, self.candidates, metric=self.metric,
+                n_jobs=n_jobs, backend=backend,
+            )
+            indices = np.argmin(D, axis=1)
+            dists = D[np.arange(q), indices]
+            local.full = q * k
+        self.stats.merge(local)
+        return indices, dists
 
-    def evaluate_recall(self, Q: ArrayLike) -> float:
-        """Fraction of queries whose routed argmin matches the exhaustive one.
-
-        Runs both paths, accumulates into ``stats.recall_checked`` /
-        ``stats.recall_hits`` (surfaced as ``stats.recall``), and returns
-        this batch's recall. In exact mode this is 1.0 by construction —
-        useful as a self-check; in approximate mode it measures what the
-        beam cost.
-        """
-        data = as_dataset(Q, "Q")
-        check_equal_length(data, self.centroids)
-        routed, _ = self.query_batch(data)
-        truth = self._exhaustive_argmin(data)
-        hits = int(np.sum(routed == truth))
-        self.stats.recall_checked += data.shape[0]
-        self.stats.recall_hits += hits
-        return hits / data.shape[0]
+    def query(self, x: ArrayLike) -> Tuple[int, float]:
+        """Nearest candidate to one series: a one-row :meth:`query_batch`."""
+        xv = as_series(x, "x")
+        indices, dists = self.query_batch(xv.reshape(1, -1))
+        return int(indices[0]), float(dists[0])

@@ -1,64 +1,39 @@
-"""Cheap per-batch candidate sketches for the coarse-to-fine router.
+"""PAA envelope sketches: the cheap first bound tier of the (c)DTW search.
 
-Two sketch families, one per supported metric family, both producing
-**admissible lower bounds** on the true distance so the router's exact
-mode can discard candidates without ever scoring them:
+Keogh's exact-indexing LB_PAA: the candidate's Keogh envelope is
+coarsened to segment-wise extremes (``max(U)``, ``min(L)`` per segment
+from :func:`repro.preprocessing.paa_edges`) and the query to segment
+means, giving an ``O(S)``-per-pair bound that never exceeds LB_Keogh
+(Cauchy-Schwarz per segment) and therefore never exceeds cDTW.
+:func:`paa_lower_bound` evaluates a whole query batch against a whole
+sketch set as a few vectorized array ops; :class:`repro.search.CentroidIndex`
+uses it to discard most candidates before any exact work.
 
-* **PAA envelope sketches** for (c)DTW — Keogh's exact-indexing LB_PAA:
-  the candidate's Keogh envelope is coarsened to segment-wise extremes
-  (``max(U)``, ``min(L)`` per segment from :func:`repro.preprocessing.paa_edges`)
-  and the query to segment means, giving an ``O(S)``-per-pair bound that
-  never exceeds LB_Keogh (Cauchy-Schwarz per segment) and therefore never
-  exceeds cDTW. :func:`paa_lower_bound` evaluates a whole query batch
-  against a whole sketch set as a few vectorized array ops.
-
-* **Spectral magnitude sketches** for SBD — for any shift ``w`` the
-  cross-correlation satisfies
-  ``|cc_w| <= (1/N) * sum_f w_f |X_f||Y_f|`` (the inverse-DFT triangle
-  inequality over the rFFT bins, with Hermitian weights ``w_f``), so with
-  ``a_f = sqrt(w_f) |X_f| / (sqrt(N) ||x||)`` — a *unit-norm* vector by
-  Parseval — ``NCC_max(x, y) <= <a(x), a(y)>`` and
-  ``SBD(x, y) >= 1 - <a(x), a(y)>``. Truncating the sketch to its first
-  ``F`` bins stays admissible by bounding the discarded tail with
-  Cauchy-Schwarz: ``<a, b> <= <a_head, b_head> + tail_a * tail_b`` where
-  ``tail = sqrt(1 - ||head||^2)``. One small GEMM bounds a whole query
-  batch against a whole candidate set.
-
-Both bounds are shrunk by :data:`FLOAT_SAFETY` before they are compared
-against exactly-computed distances: the bounds hold with real-valued
-slack in exact arithmetic, and the shrink (orders of magnitude above
-accumulated float64 rounding, orders of magnitude below any real margin)
-keeps them admissible under floating point as well.
+The bound is shrunk by :data:`FLOAT_SAFETY` before it is compared against
+exactly-computed distances: it holds with real-valued slack in exact
+arithmetic, and the shrink (orders of magnitude above accumulated float64
+rounding, orders of magnitude below any real margin) keeps it admissible
+under floating point as well.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
-from numpy.typing import ArrayLike
-
 
 __all__ = [
     "FLOAT_SAFETY",
     "paa_envelope_sketch",
     "paa_query_means",
     "paa_lower_bound",
-    "spectral_sketch",
-    "spectral_lower_bound",
 ]
 
-#: Relative shrink applied to sketch bounds before they face exactly
+#: Relative shrink applied to the PAA bound before it faces exactly
 #: computed distances. Accumulated float64 rounding in the bound and in
 #: the exact kernels is ~1e-14 relative; real bound-to-distance margins
 #: are almost always >> 1e-9. 1e-12 sits safely between the two.
 FLOAT_SAFETY = 1.0 - 1e-12
-
-#: Absolute slack companion to :data:`FLOAT_SAFETY` for bounds whose true
-#: value is O(1) but mathematically tied to the distance (duplicate
-#: candidates, constant series): relative shrink alone cannot absorb
-#: absolute rounding noise around those ties.
-FLOAT_SAFETY_ABS = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -120,102 +95,3 @@ def paa_lower_bound(
     if safety:
         bound *= FLOAT_SAFETY
     return bound
-
-
-# ---------------------------------------------------------------------------
-# Spectral magnitude sketches: the SBD routing filter
-# ---------------------------------------------------------------------------
-
-def _rfft_weights(fft_len: int, n_bins: int) -> np.ndarray:
-    """Hermitian multiplicities of the first ``n_bins`` rFFT bins."""
-    weights = np.full(n_bins, 2.0)
-    weights[0] = 1.0
-    if fft_len % 2 == 0 and n_bins == fft_len // 2 + 1:
-        weights[-1] = 1.0
-    return weights
-
-
-def spectral_sketch(
-    fft_X: np.ndarray,
-    norms: np.ndarray,
-    fft_len: int,
-    n_bins: Optional[int] = None,
-    eps: float = 1e-12,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Unit-norm spectral magnitude sketches from precomputed rFFTs.
-
-    Parameters
-    ----------
-    fft_X:
-        ``(n, fft_len // 2 + 1)`` rFFTs (the same transforms the exact SBD
-        kernel consumes — :func:`repro.core._fft_batch.rfft_batch`).
-    norms:
-        ``(n,)`` L2 norms of the underlying series.
-    fft_len:
-        FFT length the transforms were taken at.
-    n_bins:
-        Number of head bins kept; ``None`` keeps all of them (tail 0).
-
-    Returns
-    -------
-    (head, tail):
-        ``(n, F)`` truncated sketches and ``(n,)`` residual tail masses
-        ``sqrt(max(1 - ||head||^2, 0))``. Zero-norm rows get all-zero
-        sketches (their SBD to anything is exactly 1, and the induced
-        bound ``1 - 0`` matches it).
-    """
-    total_bins = fft_X.shape[-1]
-    F = total_bins if n_bins is None else max(1, min(int(n_bins), total_bins))
-    weights = _rfft_weights(fft_len, total_bins)[:F]
-    mag = np.abs(fft_X[..., :F])
-    scale = np.sqrt(float(fft_len)) * np.asarray(norms, dtype=np.float64)
-    safe = scale > eps
-    head = mag * np.sqrt(weights)[None, :]
-    head = np.divide(
-        head, scale[:, None], out=np.zeros_like(head), where=safe[:, None]
-    )
-    energy = np.einsum("nf,nf->n", head, head)
-    tail = np.sqrt(np.maximum(1.0 - energy, 0.0))
-    tail = np.where(safe, tail, 0.0)
-    return head, tail
-
-
-def spectral_lower_bound(
-    q_head: np.ndarray,
-    q_tail: np.ndarray,
-    c_head: np.ndarray,
-    c_tail: np.ndarray,
-    safety: bool = True,
-) -> np.ndarray:
-    """``(q, n)`` admissible SBD lower bounds from spectral sketches.
-
-    ``1 - (head . head' + tail * tail')``. With ``safety`` the NCC cap is
-    inflated by the float margin before the subtraction. The result is
-    deliberately **not** clipped to ``[0, 1]``: the exact SBD kernels can
-    emit values an ulp below 0 when NCC rounds above 1, and a bound
-    clipped to 0 would spuriously exceed such a cell. Callers that compare
-    against *clamped* distance matrices may clip the bound themselves.
-    """
-    ncc_cap = q_head @ c_head.T + np.outer(q_tail, c_tail)
-    if safety:
-        ncc_cap = ncc_cap / FLOAT_SAFETY + FLOAT_SAFETY_ABS
-    return 1.0 - ncc_cap
-
-
-def sketch_defaults(m: int, total_bins: int) -> Tuple[int, int]:
-    """Default ``(n_segments, n_bins)`` for a series length ``m``.
-
-    Segments: ~m/8 (clamped to [2, 64]) keeps the PAA tier ~8x cheaper
-    than LB_Keogh while staying tight on smooth shapes. Bins: 32 head
-    frequencies cover z-normalized shape data whose energy concentrates
-    at the low end of the spectrum.
-    """
-    n_segments = int(min(max(2, m // 8), 64, m))
-    n_bins = int(min(32, total_bins))
-    return n_segments, n_bins
-
-
-def _as_float_matrix(X: ArrayLike) -> np.ndarray:
-    """Light 2-D float64 view used by the sketch-building call sites."""
-    arr = np.asarray(X, dtype=np.float64)
-    return arr.reshape(1, -1) if arr.ndim == 1 else arr

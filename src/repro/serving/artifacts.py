@@ -212,7 +212,6 @@ def _export_kmeans(model: TimeSeriesKMeans) -> Tuple[dict, dict]:
             "n_clusters": model.n_clusters,
             "max_iter": model.max_iter,
             "n_init": model.n_init,
-            "prune": model.prune,
         },
         "metric": encode_metric(model.metric),
     }
@@ -220,9 +219,23 @@ def _export_kmeans(model: TimeSeriesKMeans) -> Tuple[dict, dict]:
     return arrays, meta
 
 
+#: Constructor parameters older artifacts persisted that no longer exist
+#: (the ``prune`` knob, gone since the nearest-candidate search is one path).
+#: Dropped on restore; the stored manifest and checksum stay as written.
+_RETIRED_PARAMS = frozenset({"prune"})
+
+
+def _live_params(meta: dict) -> dict:
+    return {
+        key: value
+        for key, value in meta["params"].items()
+        if key not in _RETIRED_PARAMS
+    }
+
+
 def _restore_kmeans(arrays: dict, meta: dict) -> TimeSeriesKMeans:
     model = TimeSeriesKMeans(
-        metric=decode_metric(meta["metric"]), **meta["params"]
+        metric=decode_metric(meta["metric"]), **_live_params(meta)
     )
     model.result_ = _unpack_result(arrays, meta)
     return model
@@ -240,7 +253,6 @@ def _export_kmedoids(model: KMedoids) -> Tuple[dict, dict]:
             "n_clusters": model.n_clusters,
             "max_iter": model.max_iter,
             "method": model.method,
-            "prune": model.prune,
         },
         "metric": encode_metric(model.metric),
     }
@@ -249,7 +261,7 @@ def _export_kmedoids(model: KMedoids) -> Tuple[dict, dict]:
 
 
 def _restore_kmedoids(arrays: dict, meta: dict) -> KMedoids:
-    model = KMedoids(metric=decode_metric(meta["metric"]), **meta["params"])
+    model = KMedoids(metric=decode_metric(meta["metric"]), **_live_params(meta))
     model.result_ = _unpack_result(arrays, meta)
     return model
 

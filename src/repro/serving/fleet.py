@@ -9,7 +9,6 @@ production-shaped layer, :class:`ShapeFleet`:
   across ``n_shards`` shards with consistent hashing, so resizing the
   fleet moves ~1/N of the keys, not all of them;
 * each shard owns its *own* :class:`~repro.serving.ShapePredictor`
-  (optionally routing through a :class:`~repro.search.CentroidIndex`)
   and :class:`~repro.serving.MicroBatchQueue` under the
   profile-calibrated per-shard policy
   (:meth:`repro.tuning.HardwareProfile.serving_policy`), so latency
@@ -77,7 +76,6 @@ from numpy.typing import ArrayLike
 from .._validation import as_dataset
 from ..core.minibatch import MiniBatchKShape
 from ..exceptions import ArtifactError, InvalidParameterError, ShapeMismatchError
-from ..search.index import IndexStats
 from .maintenance import CentroidMaintainer, DriftReport
 from .predictor import ShapePredictor
 from .queue import (
@@ -237,7 +235,6 @@ class FleetStats:
     swap_pauses_s: List[float] = field(default_factory=list)
     per_shard: Dict[str, ServingStats] = field(default_factory=dict)
     retired: ServingStats = field(default_factory=ServingStats)
-    index: Optional[IndexStats] = None
 
     def _all_stats(self) -> List[ServingStats]:
         return [*self.per_shard.values(), self.retired]
@@ -309,7 +306,6 @@ class FleetStats:
                 name: stats.as_dict()
                 for name, stats in sorted(self.per_shard.items())
             },
-            "index": None if self.index is None else self.index.as_dict(),
         }
 
 
@@ -340,10 +336,6 @@ class ShapeFleet:
         Version to serve initially; defaults to the registry's
         :meth:`~repro.serving.registry.ModelRegistry.resolve` (pinned,
         else latest active).
-    index:
-        ``None`` / ``"exact"`` / ``"approx"`` — per-shard
-        :class:`~repro.search.CentroidIndex` routing, rebuilt over the
-        new centroids on every swap (the index handoff).
     max_batch / max_latency_s:
         Per-shard queue policy. ``None`` resolves the active
         :class:`~repro.tuning.HardwareProfile`'s
@@ -367,7 +359,6 @@ class ShapeFleet:
         registry: Union[ModelRegistry, str],
         n_shards: int = 2,
         version: Optional[str] = None,
-        index: Optional[str] = None,
         max_batch: Optional[int] = None,
         max_latency_s: Optional[float] = None,
         autostart: bool = False,
@@ -383,7 +374,6 @@ class ShapeFleet:
                 f"n_shards must be >= 1, got {n_shards}"
             )
         self.n_shards = int(n_shards)
-        self.index_mode = index
         self.autostart = bool(autostart)
         if max_batch is None or max_latency_s is None:
             from ..tuning.profile import get_active_profile
@@ -422,7 +412,7 @@ class ShapeFleet:
 
     # ----------------------------------------------------------- plumbing
     def _make_predictor(self, model: object) -> ShapePredictor:
-        return ShapePredictor.from_model(model, index=self.index_mode)
+        return ShapePredictor.from_model(model)
 
     def _build_shard(self, name: str, model: object) -> _Shard:
         predictor = self._make_predictor(model)
@@ -474,17 +464,9 @@ class ShapeFleet:
         """A consistent fleet-level snapshot (live shards + retired queues)."""
         retired = ServingStats()
         _merge_serving_stats(retired, self._retired)
-        merged_index: Optional[IndexStats] = None
         per_shard: Dict[str, ServingStats] = {}
         for name, shard in self._shards.items():
             per_shard[name] = shard.queue.stats()
-            shard_index = shard.predictor.index_stats
-            if shard_index is not None:
-                # merge() mutates its receiver, so accumulate into a fresh
-                # IndexStats — never into a live shard's counters.
-                if merged_index is None:
-                    merged_index = IndexStats()
-                merged_index.merge(shard_index)
         return FleetStats(
             version=self.version_,
             n_shards=self.n_shards,
@@ -493,7 +475,6 @@ class ShapeFleet:
             swap_pauses_s=list(self._swap_pauses_s),
             per_shard=per_shard,
             retired=retired,
-            index=merged_index,
         )
 
     # ----------------------------------------------------------- hot swap

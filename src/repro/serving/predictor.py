@@ -12,10 +12,10 @@ query-side math:
   chunked :func:`~repro.core._fft_batch.ncc_c_max_multi` broadcast, the
   same kernel the estimators train and predict with, so served labels are
   bit-identical to :meth:`KShape.predict`;
-* **(c)DTW** — queries route through the
-  :class:`~repro.distances.prune.NeighborEngine` lower-bound cascade built
-  once over the centroids (envelopes precomputed), exactly matching the
-  estimators' pruned assignment;
+* **(c)DTW** — hard assignments route through the exact, lower-bound-pruned
+  :class:`~repro.search.CentroidIndex` built once over the centroids
+  (envelopes and sketches precomputed), the same search the estimators
+  assign with;
 * **other registered metrics** — a dense
   :func:`~repro.distances.matrix.cross_distances` fallback.
 
@@ -28,18 +28,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from .._validation import as_dataset
 from ..core._fft_batch import fft_len_for, ncc_c_max_multi, rfft_batch
-from ..distances.prune import NeighborEngine, PruningStats, dtw_window_of
+from ..distances.prune import PruningStats, dtw_window_of
 from ..exceptions import InvalidParameterError, ShapeMismatchError
-
-if TYPE_CHECKING:
-    from ..search.index import CentroidIndex, IndexStats
+from ..search.index import CentroidIndex
 
 __all__ = ["Prediction", "ShapePredictor"]
 
@@ -56,9 +54,8 @@ class Prediction:
         ``(n,)`` distance of each query to its assigned centroid.
     all_distances:
         ``(n, k)`` full distance matrix, when the query path computed one
-        (under SBD and dense metrics unless indexed routing answered the
-        query; under pruned (c)DTW only when soft memberships were
-        requested).
+        (under SBD and dense metrics; under (c)DTW only when soft
+        memberships were requested).
     memberships:
         ``(n, k)`` soft memberships (rows sum to 1), when requested.
     """
@@ -95,20 +92,11 @@ class ShapePredictor:
     centroids:
         ``(k, m)`` centroid matrix the queries are assigned to.
     metric:
-        ``"sbd"`` (default), a (c)DTW name/callable (routed through the
-        pruned :class:`~repro.distances.NeighborEngine`), or any registered
-        distance name (dense fallback).
+        ``"sbd"`` (default), a (c)DTW name/callable (hard assignments
+        through the pruned :class:`~repro.search.CentroidIndex`), or any
+        registered distance name (dense fallback).
     fuzziness:
         Fuzzifier used when soft memberships are requested.
-    index:
-        ``None`` (default, exhaustive kernels), ``"exact"``, or
-        ``"approx"`` — route hard assignments through a
-        :class:`~repro.search.CentroidIndex` built once over the
-        centroids. Exact routing returns bit-identical labels and
-        distances; approximate routing trades a measured recall
-        (``index_stats.recall`` after :meth:`evaluate_recall`) for less
-        refine work. Only valid under SBD and (c)DTW metrics. Soft
-        memberships and :meth:`transform` still use the full matrix.
 
     Attributes
     ----------
@@ -118,10 +106,7 @@ class ShapePredictor:
         Expected query length.
     stats:
         Cumulative :class:`~repro.distances.PruningStats` of the (c)DTW
-        engine (all-zero under other metrics).
-    index_stats:
-        Cumulative :class:`~repro.search.IndexStats` of the router
-        (``None`` when ``index`` is off).
+        search (all-zero under other metrics).
     """
 
     def __init__(
@@ -129,7 +114,6 @@ class ShapePredictor:
         centroids: ArrayLike,
         metric: object = "sbd",
         fuzziness: float = 2.0,
-        index: Optional[str] = None,
     ) -> None:
         C = as_dataset(centroids, "centroids")
         self.centroids = C
@@ -140,18 +124,19 @@ class ShapePredictor:
                 f"fuzziness must be > 1, got {fuzziness}"
             )
         self.fuzziness = fuzziness
-        self._engine: Optional[NeighborEngine] = None
+        self._index: Optional[CentroidIndex] = None
         self._fft_C = None
-        is_dtw, _ = dtw_window_of(metric)
         self._is_sbd = isinstance(metric, str) and metric == "sbd"
-        self._is_dtw = is_dtw
+        self._is_dtw, _ = dtw_window_of(metric)
+        self.stats = PruningStats()
         if self._is_sbd:
             # Precompute once what sbd_to_centroids would rebuild per call.
             self._fft_len = fft_len_for(self.m)
             self._fft_C = rfft_batch(C, self._fft_len)
             self._norms_C = np.linalg.norm(C, axis=1)
-        elif is_dtw:
-            self._engine = NeighborEngine(C, metric=metric)
+        elif self._is_dtw:
+            self._index = CentroidIndex(C, metric)
+            self.stats = self._index.stats
         else:
             from ..distances.base import get_distance
 
@@ -161,25 +146,6 @@ class ShapePredictor:
                 raise InvalidParameterError(
                     f"metric must be a distance name or callable, got {metric!r}"
                 )
-        self._index: Optional["CentroidIndex"] = None
-        if index is not None:
-            if index not in ("exact", "approx"):
-                raise InvalidParameterError(
-                    f"index must be None, 'exact', or 'approx', got {index!r}"
-                )
-            if not (self._is_sbd or self._is_dtw):
-                raise InvalidParameterError(
-                    "index routing requires metric='sbd' or a (c)DTW metric"
-                )
-            from ..search.index import CentroidIndex
-
-            # clamp_negative=False: the predictor's exhaustive SBD matrix
-            # is unclamped, and exact routing must match it bit-for-bit.
-            self._index = CentroidIndex(
-                C, metric=metric, mode=index, clamp_negative=False
-            )
-        self.index = index
-        self.stats = PruningStats()
         self.kernel_seconds = 0.0
         self.n_queries = 0
 
@@ -248,10 +214,6 @@ class ShapePredictor:
         tick = perf_counter()
         if self._is_sbd:
             dists = self._sbd_matrix(data)
-        elif self._is_dtw:
-            from ..distances.matrix import cross_distances
-
-            dists = cross_distances(data, self.centroids, metric=self.metric)
         else:
             dists = self._dense_matrix(data)
         self.kernel_seconds += perf_counter() - tick
@@ -261,26 +223,16 @@ class ShapePredictor:
     def predict_full(self, X: ArrayLike, soft: bool = False) -> Prediction:
         """Labels, distances, and (optionally) soft memberships for ``X``.
 
-        With a pruned (c)DTW metric and ``soft=False``, only the nearest
-        distance per query is computed (the lower-bound cascade skips the
-        rest); ``soft=True`` forces the full matrix since memberships need
-        every column. Labels are identical either way — the engine is
-        exact. With ``index`` enabled and ``soft=False``, assignments
-        route through the centroid index instead (no ``all_distances``);
-        exact routing keeps labels and distances bit-identical.
+        With a (c)DTW metric and ``soft=False``, only the nearest distance
+        per query is computed (the lower bounds skip the rest, no
+        ``all_distances``); ``soft=True`` forces the full matrix since
+        memberships need every column. Labels and distances are identical
+        either way — the search is exact.
         """
         data = self._check_batch(X)
         tick = perf_counter()
         if self._index is not None and not soft:
             labels, best = self._index.query_batch(data)
-            if self._is_dtw:
-                self.stats = self._index.stats.pruning
-            self.kernel_seconds += perf_counter() - tick
-            self.n_queries += data.shape[0]
-            return Prediction(labels=labels, distances=best)
-        if self._is_dtw and not soft:
-            labels, best = self._engine.query_batch(data)
-            self.stats = self._engine.stats
             self.kernel_seconds += perf_counter() - tick
             self.n_queries += data.shape[0]
             return Prediction(labels=labels, distances=best)
@@ -301,22 +253,3 @@ class ShapePredictor:
             all_distances=dists,
             memberships=memberships,
         )
-
-    # ------------------------------------------------------------------
-    @property
-    def index_stats(self) -> Optional[IndexStats]:
-        """Cumulative router statistics (``None`` when ``index`` is off)."""
-        return None if self._index is None else self._index.stats
-
-    def evaluate_recall(self, X: ArrayLike) -> float:
-        """Measured argmin recall of the router on ``X``.
-
-        Requires ``index`` to be enabled; exact mode returns 1.0 by
-        construction, approximate mode reports what the beam cost. The
-        result also accumulates into ``index_stats.recall``.
-        """
-        if self._index is None:
-            raise InvalidParameterError(
-                "evaluate_recall requires index='exact' or 'approx'"
-            )
-        return self._index.evaluate_recall(self._check_batch(X))

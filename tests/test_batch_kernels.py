@@ -4,12 +4,11 @@
 ``(B, diagonal)`` wavefront over a stack of pairs; every operation is
 elementwise over the batch axis, so each row must reproduce its scalar
 call **bit for bit** — ragged stacks, mixed windows, and partially
-abandoned batches included. The second half checks the consumers: the
-:class:`~repro.distances.NeighborEngine` full tier and
-:func:`~repro.distances.pruned_medoid` confirm through the batched kernel
-with a sequential replay of the scalar abandon decisions, so their
-results *and* per-tier pruning statistics must be identical with batching
-on or off.
+abandoned batches included. The last check covers the consumer that
+replays scalar decisions: :func:`~repro.distances.pruned_medoid` confirms
+through the batched kernel with a sequential replay of the scalar abandon
+decisions, so its result *and* per-tier pruning statistics must be
+identical with batching on or off.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.distances import (
-    NeighborEngine,
     PruningStats,
     dtw,
     dtw_batch,
@@ -173,55 +171,8 @@ def test_dtw_path_batch_chunking_is_invisible():
 
 
 # ---------------------------------------------------------------------------
-# NeighborEngine: the batched full tier is invisible to results and stats
+# pruned_medoid: the batched confirmation is invisible to results and stats
 # ---------------------------------------------------------------------------
-
-
-def _engine_workload(n=60, q=12, m=48):
-    C = RNG.normal(size=(n, m)).cumsum(axis=1)
-    C = (C - C.mean(axis=1, keepdims=True)) / C.std(axis=1, keepdims=True)
-    # Include near-duplicates so confirmation ties are exercised.
-    C[1] = C[0]
-    C[2] = C[0] + 1e-13
-    Q = np.vstack([RNG.normal(size=(q - 1, m)).cumsum(axis=1), C[0][None]])
-    return C, Q
-
-
-@pytest.mark.parametrize("window", (None, 0.1, 2))
-@pytest.mark.parametrize("cutoff", (np.inf, 4.0))
-def test_engine_batch_full_identical_results_and_stats(window, cutoff):
-    C, Q = _engine_workload()
-    scalar = NeighborEngine(C, window=window, batch_full=False)
-    batched = NeighborEngine(C, window=window, batch_full=True)
-    for q in Q:
-        assert batched.query(q, cutoff=cutoff) == scalar.query(q, cutoff=cutoff)
-    assert batched.stats.as_dict() == scalar.stats.as_dict()
-
-
-def test_engine_batch_full_query_batch_end_to_end():
-    """End-to-end: pruning-tier counts unchanged by the batched full tier."""
-    C, Q = _engine_workload(n=80, q=20)
-    scalar = NeighborEngine(C, window=0.05, batch_full=False)
-    batched = NeighborEngine(C, window=0.05, batch_full=True)
-    i1, d1 = scalar.query_batch(Q)
-    i2, d2 = batched.query_batch(Q)
-    assert np.array_equal(i1, i2)
-    assert np.array_equal(d1, d2)
-    s1, s2 = scalar.stats, batched.stats
-    for tier in ("candidates", "lb_kim", "lb_yi", "lb_keogh", "abandoned", "full"):
-        assert getattr(s1, tier) == getattr(s2, tier), tier
-    # The batch actually confirmed something — the test is not vacuous.
-    assert s2.full > 0 and s2.abandoned > 0
-
-
-def test_engine_batch_full_respects_chunk_boundaries():
-    """Workloads larger than one confirm chunk stay bit-identical."""
-    C, Q = _engine_workload(n=3 * NeighborEngine._BATCH_CHUNK, q=4, m=16)
-    scalar = NeighborEngine(C, window=None, batch_full=False)
-    batched = NeighborEngine(C, window=None, batch_full=True)
-    for q in Q:
-        assert batched.query(q) == scalar.query(q)
-    assert batched.stats.as_dict() == scalar.stats.as_dict()
 
 
 @pytest.mark.parametrize("window", (None, 0.05, 1))

@@ -9,7 +9,14 @@ from repro import (
     one_nn_classify,
     tune_cdtw_window,
 )
-from repro.exceptions import EmptyInputError, ShapeMismatchError
+from repro.datasets import make_cbf
+from repro.distances import cross_distances
+from repro.exceptions import (
+    EmptyInputError,
+    InvalidParameterError,
+    ShapeMismatchError,
+)
+from repro.preprocessing import zscore
 
 
 @pytest.fixture
@@ -55,10 +62,11 @@ class TestOneNN:
         stats = PruningStats()
         one_nn_classify(X_tr, y_tr, X_te, metric="cdtw5", lb_window=0.05,
                         stats=stats)
+        assert stats.queries == X_te.shape[0]
         assert stats.candidates == X_te.shape[0] * X_tr.shape[0]
         assert stats.candidates == (
-            stats.lb_kim + stats.lb_yi + stats.lb_keogh + stats.abandoned
-            + stats.full + stats.cached + stats.skipped
+            stats.lb_paa + stats.lb_kim + stats.lb_yi + stats.lb_keogh
+            + stats.abandoned + stats.full + stats.cached + stats.skipped
         )
 
     def test_lb_pruning_deterministic_in_workers(self, split_data):
@@ -84,6 +92,26 @@ class TestOneNN:
         names = np.array(["a", "b"])[y_tr]
         pred = one_nn_classify(X_tr, names, X_te, metric="ed")
         assert set(pred) <= {"a", "b"}
+
+
+    @pytest.mark.parametrize("metric", ["sbd", "lcss"])
+    def test_lb_window_rejects_inadmissible_metric(self, metric):
+        """Lower bounds are only proven admissible for (c)DTW.
+
+        Pruning SBD or LCSS with them used to return the wrong neighbor
+        for about half of these queries; now the call refuses, and the
+        unpruned call is the brute-force argmin.
+        """
+        rng = np.random.default_rng(0)
+        X_tr, y_tr = make_cbf(20, 64, rng)
+        X_te, _ = make_cbf(10, 64, rng)
+        X_tr, X_te = zscore(X_tr), zscore(X_te)
+        with pytest.raises(InvalidParameterError):
+            one_nn_classify(X_tr, y_tr, X_te, metric=metric, lb_window=0.05)
+        nearest = np.argmin(cross_distances(X_te, X_tr, metric=metric), axis=1)
+        assert np.array_equal(
+            one_nn_classify(X_tr, y_tr, X_te, metric=metric), y_tr[nearest]
+        )
 
 
 class TestLeaveOneOut:

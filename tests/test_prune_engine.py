@@ -1,5 +1,11 @@
-"""Tests for repro.distances.prune (NeighborEngine, pruned_medoid)."""
+"""Tests for repro.distances.prune: bounds, accounting, pruned_medoid.
 
+The (c)DTW cases of the nearest-candidate search live here too — the
+lower-bound envelope window, ties, constants — exercised through
+:class:`repro.search.CentroidIndex`, the one search built on these bounds.
+"""
+
+import functools
 import warnings
 
 import numpy as np
@@ -11,7 +17,6 @@ from hypothesis.extra.numpy import arrays
 from repro.clustering import KMedoids, TimeSeriesKMeans
 from repro.datasets import make_cbf
 from repro.distances import (
-    NeighborEngine,
     PruningStats,
     cdtw,
     cross_distances,
@@ -20,9 +25,12 @@ from repro.distances import (
     make_cdtw,
     pairwise_distances,
     pruned_medoid,
+    resolve_window,
 )
+from repro.distances.prune import _lb_keogh_pairs, _lb_kim, _lb_yi, _row_envelopes
 from repro.exceptions import ConvergenceWarning, InvalidParameterError
 from repro.preprocessing import zscore
+from repro.search import CentroidIndex
 
 
 @pytest.fixture
@@ -30,6 +38,25 @@ def cbf(rng):
     """A fixed CBF-style fixture: 30 train candidates, 12 queries."""
     X, _ = make_cbf(42, 48, rng)
     return zscore(X[:30]), zscore(X[30:])
+
+
+def windowed_dtw(window):
+    """(c)DTW at ``window`` as a metric the search recognizes."""
+    return functools.partial(dtw, window=window)
+
+
+def lower_bounds(x, C, window):
+    """``(lb_kim, lb_yi, lb_keogh)`` of ``x`` against every row of ``C``."""
+    cells = resolve_window(window, C.shape[1])
+    upper, lower = _row_envelopes(C, cells)
+    q_upper, q_lower = _row_envelopes(x[None, :], cells)
+    kim = _lb_kim(x, C[:, 0], C[:, -1], C.max(axis=1), C.min(axis=1))
+    yi = _lb_yi(x, C.max(axis=1), C.min(axis=1))
+    rows = np.arange(C.shape[0])
+    keogh = _lb_keogh_pairs(
+        x[None, :], q_upper, q_lower, C, upper, lower, np.zeros_like(rows), rows
+    )
+    return kim, yi, keogh
 
 
 def brute_nn(Q, C, fn):
@@ -41,11 +68,11 @@ def brute_nn(Q, C, fn):
 class TestStats:
     def test_partition_invariant(self, cbf):
         train, test = cbf
-        engine = NeighborEngine(train, window=0.1)
-        engine.query_batch(test)
-        s = engine.stats
+        index = CentroidIndex(train, windowed_dtw(0.1))
+        index.query_batch(test)
+        s = index.stats
         assert s.candidates == (
-            s.lb_kim + s.lb_yi + s.lb_keogh + s.abandoned
+            s.lb_paa + s.lb_kim + s.lb_yi + s.lb_keogh + s.abandoned
             + s.full + s.cached + s.skipped
         )
         assert s.candidates == test.shape[0] * train.shape[0]
@@ -83,64 +110,62 @@ class TestEngineExactness:
     @pytest.mark.parametrize("window", [0.05, 0.1, 5, None])
     def test_bit_identical_to_brute(self, cbf, window):
         train, test = cbf
-        engine = NeighborEngine(train, window=window)
-        idx, dist = engine.query_batch(test)
+        idx, dist = CentroidIndex(train, windowed_dtw(window)).query_batch(test)
         bidx, bdist = brute_nn(test, train, lambda a, b: dtw(a, b, window=window))
         assert np.array_equal(idx, bidx)
         assert np.array_equal(dist, bdist)
 
     def test_metric_callable_confirms_at_metric_window(self, cbf):
         train, test = cbf
-        engine = NeighborEngine(train, metric=make_cdtw(0.1))
-        idx, dist = engine.query_batch(test)
-        bidx, bdist = brute_nn(test, train, make_cdtw(0.1))
+        index = CentroidIndex(train, make_cdtw(0.05), window=0.1)
+        idx, dist = index.query_batch(test)
+        bidx, bdist = brute_nn(test, train, make_cdtw(0.05))
         assert np.array_equal(idx, bidx)
         assert np.array_equal(dist, bdist)
 
     def test_duplicates_tie_to_lowest_index(self, rng):
         base = rng.normal(0, 1, (6, 20))
         train = np.vstack([base, base])  # every series twice
-        engine = NeighborEngine(train, window=0.1)
-        idx, dist = engine.query_batch(base)
+        idx, dist = CentroidIndex(train, windowed_dtw(0.1)).query_batch(base)
         assert np.array_equal(idx, np.arange(6))
         assert np.all(dist == 0.0)
 
     def test_constant_series(self):
         train = np.vstack([np.full(16, v) for v in (0.0, 1.0, -2.0)])
-        engine = NeighborEngine(train, window=0.1)
-        idx, dist = engine.query_batch(np.full((1, 16), 0.9))
+        index = CentroidIndex(train, windowed_dtw(0.1))
+        idx, dist = index.query_batch(np.full((1, 16), 0.9))
         assert idx[0] == 1
         assert dist[0] == pytest.approx(dtw(np.full(16, 0.9), train[1], window=0.1))
 
     def test_single_candidate(self, rng):
         train = rng.normal(0, 1, (1, 24))
-        engine = NeighborEngine(train, window=0.1)
-        idx, dist = engine.query_batch(rng.normal(0, 1, (3, 24)))
+        index = CentroidIndex(train, windowed_dtw(0.1))
+        idx, dist = index.query_batch(rng.normal(0, 1, (3, 24)))
         assert np.all(idx == 0)
         assert np.all(np.isfinite(dist))
 
-    def test_finite_cutoff_no_qualifier(self, rng):
-        train = rng.normal(10, 1, (5, 16))
-        engine = NeighborEngine(train, window=0.1)
-        idx, dist = engine.query(np.zeros(16), cutoff=1.0)
-        assert idx == -1
-        assert np.isinf(dist)
-
     def test_query_batch_deterministic_in_workers(self, cbf):
         train, test = cbf
-        serial = NeighborEngine(train, window=0.05)
+        serial = CentroidIndex(train, "cdtw5")
         si, sd = serial.query_batch(test)
-        threaded = NeighborEngine(train, window=0.05)
+        threaded = CentroidIndex(train, "cdtw5")
         ti, td = threaded.query_batch(test, n_jobs=4, backend="threads")
         assert np.array_equal(si, ti)
         assert np.array_equal(sd, td)
         assert serial.stats == threaded.stats
+        # The dense strategy tiles its matrix over the workers; tiled cells
+        # match the serial matrix to rounding (see pairwise_distances).
+        si, sd = CentroidIndex(train, "sbd").query_batch(test)
+        ti, td = CentroidIndex(train, "sbd").query_batch(
+            test, n_jobs=4, backend="threads"
+        )
+        assert np.array_equal(si, ti)
+        assert np.allclose(sd, td, rtol=0.0, atol=1e-12)
 
     def test_lower_bounds_are_admissible(self, cbf):
         train, test = cbf
-        engine = NeighborEngine(train, window=0.1)
         for q in test[:4]:
-            kim, yi, keogh = engine.lower_bounds(q)
+            kim, yi, keogh = lower_bounds(q, train, 0.1)
             true = np.array([cdtw(q, c, window=0.1) for c in train])
             assert np.all(kim <= true + 1e-9)
             assert np.all(yi <= true + 1e-9)
@@ -169,19 +194,24 @@ class TestPrunedMedoid:
             pruned_medoid(rng.normal(0, 1, (4, 10)), metric="sbd")
 
 
+def plain(metric):
+    """The same distance as a bare callable: the dense strategy, unpruned."""
+    return lambda a, b: metric(a, b)
+
+
 class TestClusteringEquivalence:
     def test_kmeans_prune_bit_identical(self, cbf):
         train, _ = cbf
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
             a = TimeSeriesKMeans(3, metric=make_cdtw(0.1), random_state=5,
-                                 max_iter=10, prune=True).fit(train)
-            b = TimeSeriesKMeans(3, metric=make_cdtw(0.1), random_state=5,
-                                 max_iter=10, prune=False).fit(train)
+                                 max_iter=10).fit(train)
+            b = TimeSeriesKMeans(3, metric=plain(make_cdtw(0.1)),
+                                 random_state=5, max_iter=10).fit(train)
         assert np.array_equal(a.labels_, b.labels_)
         assert a.inertia_ == b.inertia_
-        assert "pruning_stats" in a.result_.extra
-        assert "pruning_stats" not in b.result_.extra
+        assert a.result_.extra["pruning_stats"].prune_rate > 0.0
+        assert b.result_.extra["pruning_stats"].prune_rate == 0.0
 
     def test_kmeans_auto_enables_for_dtw(self, cbf):
         train, _ = cbf
@@ -193,19 +223,14 @@ class TestClusteringEquivalence:
         assert stats.candidates > 0
         assert stats.prune_rate > 0.0
 
-    def test_kmeans_prune_rejects_non_dtw(self, cbf):
-        train, _ = cbf
-        with pytest.raises(InvalidParameterError):
-            TimeSeriesKMeans(2, metric="ed", prune=True).fit(train)
-
     def test_kmedoids_alternate_prune_bit_identical(self, cbf):
         train, _ = cbf
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
             a = KMedoids(3, metric="cdtw5", random_state=2, method="alternate",
-                         prune=True, max_iter=15).fit(train)
-            b = KMedoids(3, metric="cdtw5", random_state=2, method="alternate",
-                         prune=False, max_iter=15).fit(train)
+                         max_iter=15).fit(train)
+            b = KMedoids(3, metric=plain(make_cdtw(0.05)), random_state=2,
+                         method="alternate", max_iter=15).fit(train)
         assert np.array_equal(a.labels_, b.labels_)
         assert np.array_equal(a.medoid_indices_, b.medoid_indices_)
         assert a.inertia_ == b.inertia_
@@ -235,9 +260,8 @@ def series_set(n_min=2, n_max=6, m_max=16):
 @given(series_set())
 @settings(max_examples=40, deadline=None)
 def test_engine_matches_brute_property(C):
-    engine = NeighborEngine(C, window=0.2)
     q = C[0] + 0.5
-    idx, dist = engine.query(q)
+    idx, dist = CentroidIndex(C, windowed_dtw(0.2)).query(q)
     D = np.array([dtw(q, c, window=0.2) for c in C])
     assert idx == int(np.argmin(D))
     assert dist == D[idx]
@@ -246,8 +270,7 @@ def test_engine_matches_brute_property(C):
 @given(series_set())
 @settings(max_examples=40, deadline=None)
 def test_bounds_never_exceed_dtw_property(C):
-    engine = NeighborEngine(C, window=0.2)
-    kim, yi, keogh = engine.lower_bounds(C[-1])
+    kim, yi, keogh = lower_bounds(C[-1], C, 0.2)
     true = np.array([cdtw(C[-1], c, window=0.2) for c in C])
     bound = np.maximum.reduce([kim, yi, keogh])
     assert np.all(bound <= true + 1e-9)

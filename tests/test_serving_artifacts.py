@@ -250,3 +250,30 @@ class TestMetricCodec:
     def test_unknown_encoding_rejected(self):
         with pytest.raises(ArtifactError):
             decode_metric({"kind": "martian"})
+
+
+class TestLegacyArtifacts:
+    """Artifacts written before the ``prune`` knob was removed still load.
+
+    The fixtures under ``tests/fixtures/legacy_artifacts`` were saved by
+    the release that still persisted ``"prune": null`` in the params of
+    TimeSeriesKMeans and KMedoids artifacts, together with that release's
+    predictions for a fixed query batch (``expected.npz``).
+    """
+
+    FIXTURES = os.path.join(
+        os.path.dirname(__file__), "fixtures", "legacy_artifacts"
+    )
+
+    @pytest.mark.parametrize("name, key", [
+        ("kmeans_cdtw10", "kmeans_labels"),
+        ("kmedoids_cdtw10", "kmedoids_labels"),
+    ])
+    def test_loads_and_predicts_as_before(self, name, key):
+        path = os.path.join(self.FIXTURES, name)
+        with open(_manifest_path(path)) as handle:
+            assert "prune" in json.load(handle)["params"]
+        model = load_model(path)
+        assert not hasattr(model, "prune")
+        expected = np.load(os.path.join(self.FIXTURES, "expected.npz"))
+        assert np.array_equal(model.predict(expected["queries"]), expected[key])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import KShape, MiniBatchKShape, zscore
+from repro.distances import cross_distances
 from repro.exceptions import (
     InvalidParameterError,
     QueueClosedError,
@@ -369,27 +370,31 @@ class TestProfileIntegration:
 
 
 class TestIndexHandoff:
-    def test_exact_index_kept_across_swap(
-        self, registry, models, two_class_data
-    ):
+    def test_exact_index_kept_across_swap(self, tmp_path, two_class_data):
+        from repro import TimeSeriesKMeans
+
         X, _ = two_class_data
-        fleet = ShapeFleet(
-            registry, n_shards=2, version="r1", index="exact",
-            autostart=False,
-        )
+        dtw_models = [
+            TimeSeriesKMeans(2, metric="cdtw10", max_iter=5, random_state=seed)
+            .fit(X)
+            for seed in (0, 7)
+        ]
+        registry = ModelRegistry(str(tmp_path / "dtw-registry"))
+        registry.publish(dtw_models[0], version="r1")
+        registry.publish(dtw_models[1], version="r2")
+        fleet = ShapeFleet(registry, n_shards=2, version="r1", autostart=False)
         for k, x in zip(KEYS, X):
             fleet.submit(k, x)
         fleet.flush()
-        assert fleet.stats().index is not None
         report = fleet.swap_to("r2")
         assert report.outcome == "swapped"
-        # New predictors carry a fresh index over the NEW centroids and
-        # stay bit-identical to the exhaustive answers.
-        reference = ShapePredictor.from_model(models[1]).predict_full(X)
+        # New predictors carry a fresh (c)DTW index over the NEW centroids
+        # and stay bit-identical to the exhaustive answers.
+        D = cross_distances(X, dtw_models[1].centroids_, metric="cdtw10")
         futures = [fleet.submit(k, x) for k, x in zip(KEYS, X)]
         fleet.flush()
         for i, future in enumerate(futures):
             label, dist = future.result()
-            assert label == int(reference.labels[i])
-            assert dist == float(reference.distances[i])
+            assert label == int(np.argmin(D[i]))
+            assert dist == float(D[i].min())
         fleet.close()
