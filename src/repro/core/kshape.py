@@ -9,22 +9,28 @@ until the memberships stabilize or an iteration cap is reached:
 * **assignment** — each series moves to the cluster of its closest centroid
   under SBD (Algorithm 1).
 
-The assignment step is fully batched: the dataset's FFTs are computed once
-per ``fit`` and reused every iteration, the ``k`` centroid rFFTs are taken
-with a single batched transform, and all ``k`` columns of the ``(n, k)``
-distance matrix come out of one chunked broadcast multiply — so one
-iteration costs ``O(n * k * m log m)`` with small numpy constants, the
-linear-in-``n`` scaling Appendix B demonstrates.
+The assignment step is batched and screened (:func:`assign_sbd`). The
+dataset's FFTs are computed once per ``fit`` and reused every iteration,
+and the ``k`` centroid rFFTs are taken with a single batched transform.
+Every (series, centroid) pair is first scored by a float32 NCCc on
+unit-norm spectra, one inverse transform per centroid; only the pairs that
+can still win a row under the screen's error bound (:func:`screen_tol`),
+about one per series, are confirmed by the float64 kernel, which decides
+the assignment. One iteration still costs ``O(n * k * m log m)``, the
+linear-in-``n`` scaling Appendix B demonstrates, with a float32 constant;
+labels, lags, distances and inertia are exactly those of the dense
+float64 assignment (:func:`_assign_sbd_naive`).
 
 On top of the batching, the loop tracks **dirty clusters**: a cluster whose
 member set is unchanged *and* whose members' optimal alignment lags toward
 the current centroid equal the lags used for its last extraction would
 reproduce its centroid bit-for-bit, so the extraction, the centroid FFT,
-and the cluster's distance-matrix column are all reused instead of
-recomputed. Because the skip condition is exactly "recomputing would be a
-no-op", results are identical to the always-recompute path (see
-``cache_clusters``); late iterations, where most clusters are stable,
-shrink to the cost of the few clusters still in motion.
+and the cluster's column of screen scores and confirmed distances are all
+reused instead of recomputed. Because the skip condition is exactly
+"recomputing would be a no-op", results are identical to the
+always-recompute path (see ``cache_clusters``); late iterations, where
+most clusters are stable, shrink to the cost of the few clusters still in
+motion.
 
 The paper's ``k-Shape+DTW`` ablation (Table 3) — k-Shape with DTW replacing
 SBD in the assignment step — is available via ``assignment_distance``.
@@ -53,8 +59,11 @@ from ._fft_batch import (
     fft_len_for,
     ncc_c_max_batch,
     ncc_c_max_multi,
+    ncc_c_max_screen,
     rfft_batch,
     sbd_to_centroids,
+    screen_tol,
+    unit_spectra,
 )
 from .shape_extraction import _extract_from_aligned
 
@@ -66,6 +75,127 @@ def _flipped(fn, x, y):
     the (row, column) order of ``cross_distances`` (picklable, unlike a
     lambda, so the process backend can ship it)."""
     return fn(y, x)
+
+
+class _SBDState:
+    """Per-fit state of the SBD assignment step.
+
+    ``dists[i, j]`` (``1 - NCCc``) and ``shifts[i, j]`` (the lag row ``i``
+    moves by to align with centroid ``j``) hold the float64 kernel's exact
+    numbers wherever ``exact[j, i]`` is set; ``screen[j, i]`` is the
+    float32 NCCc of the pair. Columns never scored read as distance 0,
+    lag 0 and are exact, as the dense assignment's zero-initialized matrix
+    reads them.
+    """
+
+    def __init__(self, fft_X: np.ndarray, norms_X: np.ndarray, k: int, m: int, fft_len: int):
+        n = norms_X.shape[0]
+        self.fft_X = fft_X
+        self.norms_X = norms_X
+        self.m = m
+        self.fft_len = fft_len
+        self.tol = screen_tol(m)
+        self.dists = np.zeros((n, k))
+        self.shifts = np.zeros((n, k), dtype=np.int64)
+        self.unit_X = unit_spectra(fft_X, norms_X)
+        self.screen = np.ones((k, n), dtype=np.float32)
+        self.exact = np.ones((k, n), dtype=bool)
+
+    def confirm(self, fft_C: np.ndarray, norms_C: np.ndarray, need: np.ndarray) -> None:
+        """Compute the exact float64 numbers of the ``(k, n)`` pairs in ``need``.
+
+        Each centroid's pairs gather their rows into one
+        :func:`ncc_c_max_batch` call, whose cells are bit-identical to the
+        same cells of :func:`ncc_c_max_multi`.
+        """
+        for j in np.flatnonzero(need.any(axis=1)):
+            rows = np.flatnonzero(need[j])
+            values, lags = ncc_c_max_batch(
+                self.fft_X[rows], self.norms_X[rows],
+                fft_C[j], float(norms_C[j]), self.m, self.fft_len,
+            )
+            self.dists[rows, j] = 1.0 - values
+            self.shifts[rows, j] = -lags
+            self.exact[j, rows] = True
+
+
+def assign_sbd(
+    state: _SBDState,
+    fft_C: np.ndarray,
+    norms_C: np.ndarray,
+    cols: List[int],
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Screened SBD assignment: labels of the closest centroids.
+
+    ``cols`` lists the centroids whose spectra ``fft_C`` and norms
+    ``norms_C`` changed since the last call; their columns of ``state``
+    are rescored, the rest are reused.
+
+    * **Screen.** Each rescored column is scored against every row by
+      :func:`ncc_c_max_screen`, a float32 NCCc on unit-norm spectra.
+      Pairs whose norm product is ``<= 1e-12`` get the float64 kernel's
+      value 0, lag 0 directly, with no transform.
+    * **Confirm.** A row's candidates are the centroids whose score is
+      within ``2 * tol`` of the row's best score, with ``tol =
+      screen_tol(m)`` bounding the screen's error. A centroid outside that
+      band has a float64 NCCc below the best-scored centroid's (by over
+      ``1.5 * tol`` at the error the property test allows, far above the
+      rounding of ``1 - NCCc``), so it cannot be the row's argmin. The
+      candidates not yet exact get their float64 value and lag from
+      :func:`ncc_c_max_batch` on the gathered rows, bit-identical to the
+      dense kernel's cells, and the argmin over the candidates breaks
+      ties toward the lowest index, as ``np.argmin`` does. A NaN score is
+      always a candidate.
+    * **Repair.** Rows that :func:`repair_empty_clusters` moves are
+      confirmed against their new centroid.
+
+    Every assigned pair is therefore exact, so ``state.dists`` and
+    ``state.shifts`` at ``(i, labels[i])`` and the returned labels equal
+    :func:`_assign_sbd_naive`'s.
+    """
+    n, k = state.dists.shape
+    if cols:
+        # Complement of the float64 kernel's ``denom > eps``, so a NaN
+        # norm product takes its value 0 here too.
+        unsafe = ~(norms_C[cols][:, None] * state.norms_X[None, :] > 1e-12)
+        scores = ncc_c_max_screen(
+            state.unit_X, unit_spectra(fft_C[cols], norms_C[cols]), state.m, state.fft_len
+        )
+        scores[unsafe] = 0.0
+        state.screen[cols] = scores
+        state.exact[cols] = unsafe
+        state.dists[:, cols] = 1.0
+        state.shifts[:, cols] = 0
+    floor = state.screen.max(axis=0).astype(np.float64) - 2.0 * state.tol
+    candidates = ~(state.screen < floor)
+    state.confirm(fft_C, norms_C, candidates & ~state.exact)
+    labels = np.argmin(np.where(candidates.T, state.dists, np.inf), axis=1)
+    labels = repair_empty_clusters(labels, k, rng)
+    rows = np.arange(n)
+    moved = np.zeros_like(state.exact)
+    moved[labels, rows] = ~state.exact[labels, rows]
+    state.confirm(fft_C, norms_C, moved)
+    return labels
+
+
+def _assign_sbd_naive(
+    state: _SBDState,
+    fft_C: np.ndarray,
+    norms_C: np.ndarray,
+    cols: List[int],
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Dense float64 oracle of :func:`assign_sbd`: every pair exact."""
+    n, k = state.dists.shape
+    if cols:
+        values, lags = ncc_c_max_multi(
+            state.fft_X, state.norms_X, fft_C[cols], norms_C[cols], state.m, state.fft_len
+        )
+        state.dists[:, cols] = (1.0 - values).T
+        state.shifts[:, cols] = -lags.T
+    labels = np.argmin(state.dists, axis=1)
+    return repair_empty_clusters(labels, k, rng)
 
 
 def _extract_aligned_task(aligned: np.ndarray) -> np.ndarray:
@@ -188,15 +318,19 @@ class KShape(BaseClusterer):
         actual sequences chosen with probability proportional to their
         squared SBD to the nearest seed so far."""
         n, m = X.shape
+        k = self.n_clusters
         seeds = [int(rng.integers(0, n))]
         nearest = np.full(n, np.inf)
-        for _ in range(self.n_clusters - 1):
+        dists = np.empty((n, k))
+        for j in range(k):
             last = seeds[-1]
-            fft_c = fft_X[last]
             values, _ = ncc_c_max_batch(
-                fft_X, norms_X, fft_c, float(norms_X[last]), m, fft_len
+                fft_X, norms_X, fft_X[last], float(norms_X[last]), m, fft_len
             )
-            nearest = np.minimum(nearest, 1.0 - values)
+            dists[:, j] = 1.0 - values
+            if j == k - 1:
+                break
+            nearest = np.minimum(nearest, dists[:, j])
             weights = np.maximum(nearest, 0.0) ** 2
             total = weights.sum()
             if total <= 0:
@@ -205,14 +339,8 @@ class KShape(BaseClusterer):
                 continue
             seeds.append(int(rng.choice(n, p=weights / total)))
         # Assign every series to its closest seed.
-        dists = np.empty((n, len(seeds)))
-        for j, idx in enumerate(seeds):
-            values, _ = ncc_c_max_batch(
-                fft_X, norms_X, fft_X[idx], float(norms_X[idx]), m, fft_len
-            )
-            dists[:, j] = 1.0 - values
         labels = np.argmin(dists, axis=1)
-        return repair_empty_clusters(labels, self.n_clusters, rng)
+        return repair_empty_clusters(labels, k, rng)
 
     # ------------------------------------------------------------------
     def _assignment_distances(
@@ -262,10 +390,10 @@ class KShape(BaseClusterer):
         # clusters; also powers alignment-lag lookups with a custom metric.
         fft_C = np.zeros((k, fft_len // 2 + 1), dtype=complex)
         norms_C = np.zeros(k)
-        # member_shifts[i, j]: lag row i must move by to align with centroid
-        # j — the (negated) SBD lag, cached from the assignment kernel so
-        # refinement needs no extra FFT work.
-        member_shifts = np.zeros((n, k), dtype=np.int64)
+        # sbd.shifts[i, j]: lag row i must move by to align with centroid j
+        # — the (negated) SBD lag, cached from the assignment kernel so
+        # refinement needs no extra FFT work. Exact for every assigned pair.
+        sbd = _SBDState(fft_X, norms_X, k, m, fft_len)
         # Dirty-cluster bookkeeping: the member set and alignment lags each
         # centroid was last extracted from.
         last_members: List[Optional[np.ndarray]] = [None] * k
@@ -273,7 +401,7 @@ class KShape(BaseClusterer):
 
         converged = False
         n_iter = 0
-        dists = np.zeros((n, k))
+        dists = sbd.dists  # a custom metric replaces it every iteration
         history = []  # per-iteration (inertia, membership changes)
         timings = {"align": 0.0, "extract": 0.0, "assign": 0.0}
         for n_iter in range(1, self.max_iter + 1):
@@ -300,7 +428,7 @@ class KShape(BaseClusterer):
                     )
                     shifts = -np.asarray(lags, dtype=np.int64)
                 else:
-                    shifts = member_shifts[members, j]
+                    shifts = sbd.shifts[members, j]
                 if (
                     self.cache_clusters
                     and last_members[j] is not None
@@ -336,19 +464,13 @@ class KShape(BaseClusterer):
                 dists = self._assignment_distances(
                     X, fft_X, norms_X, centroids, fft_len
                 )
+                labels = repair_empty_clusters(np.argmin(dists, axis=1), k, rng)
             else:
                 cols = dirty if self.cache_clusters else list(range(k))
-                if cols:
-                    if not self.cache_clusters:
-                        fft_C[cols] = rfft_batch(centroids[cols], fft_len)
-                        norms_C[cols] = np.linalg.norm(centroids[cols], axis=1)
-                    values, lags = ncc_c_max_multi(
-                        fft_X, norms_X, fft_C[cols], norms_C[cols], m, fft_len
-                    )
-                    dists[:, cols] = (1.0 - values).T
-                    member_shifts[:, cols] = -lags.T
-            labels = np.argmin(dists, axis=1)
-            labels = repair_empty_clusters(labels, k, rng)
+                if cols and not self.cache_clusters:
+                    fft_C[cols] = rfft_batch(centroids[cols], fft_len)
+                    norms_C[cols] = np.linalg.norm(centroids[cols], axis=1)
+                labels = assign_sbd(sbd, fft_C, norms_C, cols, rng)
             timings["assign"] += perf_counter() - tick
             history.append((
                 float(np.sum(dists[np.arange(n), labels] ** 2)),
@@ -388,12 +510,14 @@ class KShape(BaseClusterer):
     def predict(self, X) -> np.ndarray:
         """Assign held-out sequences to the fitted centroids (no update).
 
-        Uses the same batched assignment kernel as the fit loop
+        Scores every (series, centroid) pair with the dense float64 kernel
         (:func:`~repro.core._fft_batch.sbd_to_centroids`) — or, with a
-        custom ``assignment_distance``, the same per-pair evaluation — so
-        held-out labels agree bit-for-bit with what another fit iteration
-        would have assigned, and with
-        :class:`repro.serving.ShapePredictor` over the saved centroids.
+        custom ``assignment_distance``, the same per-pair evaluation. The
+        fit loop screens most pairs in float32 but decides every row by the
+        same float64 values (:func:`assign_sbd`), so held-out labels agree
+        bit-for-bit by construction with what another fit iteration would
+        have assigned, and with :class:`repro.serving.ShapePredictor` over
+        the saved centroids.
         """
         data = self._predict_data(X)
         result = self._check_fitted()

@@ -1,8 +1,9 @@
 """RPR001 — every vectorized kernel keeps its ``_*_naive`` oracle twin.
 
-The wavefront/Gram-trick fast paths are only trustworthy because a plain
-transcription of the paper's recurrence lives next to each one and a
-differential test pins the two together bit-for-bit.  This rule makes the
+The wavefront/Gram-trick/screened-assignment fast paths are only
+trustworthy because a plain transcription of the paper's recurrence lives
+next to each one and a differential test pins the two together
+bit-for-bit.  This rule makes the
 convention mechanical, in three parts:
 
 1. **Required twins.** For the modules listed in :data:`REQUIRED_ORACLES`,
@@ -41,6 +42,9 @@ REQUIRED_ORACLES: Dict[str, Dict[str, str]] = {
     },
     "core/shape_extraction.py": {
         "shape_extraction": "_shape_extraction_naive",
+    },
+    "core/kshape.py": {
+        "assign_sbd": "_assign_sbd_naive",
     },
 }
 

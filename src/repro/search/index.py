@@ -159,7 +159,10 @@ class CentroidIndex:
         entry, so ties with the incumbent still come back exact.
         """
         out = np.empty(qs.shape[0])
-        cut_sq = None if cutoff is None else cutoff * cutoff
+        # Squaring the rounded square root can land an ulp below the
+        # incumbent's own cost, which would abandon an exact tie; the next
+        # float up squares to at least every cost whose root rounds to it.
+        cut_sq = None if cutoff is None else np.nextafter(cutoff, np.inf) ** 2
         for s in range(0, qs.shape[0], 4096):
             sl = slice(s, s + 4096)
             costs, _ = _dtw_cost_batch(

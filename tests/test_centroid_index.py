@@ -109,6 +109,17 @@ class TestExactMode:
         assert np.array_equal(dists, ref_dists)
         assert not np.any(labels >= 5)  # never the later copy
 
+    @pytest.mark.parametrize("metric", DTW_METRICS)
+    def test_tie_whose_rounded_root_squares_below_its_cost(self, metric):
+        """Both costs are 0.75, whose float sqrt squares to 0.7499...; the
+        lower index must not be abandoned against the seed's cutoff."""
+        C = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        Q = C[:1] + 0.5
+        labels, dists = CentroidIndex(C, metric).query_batch(Q)
+        ref_labels, ref_dists = exhaustive(Q, C, metric)
+        assert np.array_equal(labels, ref_labels)
+        assert np.array_equal(dists, ref_dists)
+
     @pytest.mark.parametrize("metric", METRICS)
     def test_constant_rows(self, rng, metric):
         C, Q = clustered_workload(rng, n_queries=8, k=4)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import ncc_max
-from repro.core._fft_batch import fft_len_for, ncc_c_max_batch, rfft_batch
+from repro.core._fft_batch import _best_lag, fft_len_for, ncc_c_max_batch, rfft_batch
 
 
 @pytest.fixture
@@ -81,3 +81,18 @@ class TestBatchKernels:
         assert values[0] == pytest.approx(1.0)
         assert values[1] == pytest.approx(-1.0)
         assert np.all(shifts == 0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+    def test_lag_selection_matches_concatenated_argmax(self, rng, m):
+        """Ties and NaNs pick the first index of the lag order
+        ``-(m-1)..m-1``, as an argmax over the concatenated lags does."""
+        L = fft_len_for(m)
+        for _ in range(200):
+            cc = rng.integers(0, 3, size=(2, 3, L)).astype(float)
+            cc[rng.random(cc.shape) < 0.1] = np.nan
+            full = np.concatenate((cc[..., L - (m - 1):], cc[..., :m]), axis=-1)
+            idx = np.argmax(full, axis=-1)
+            values, shifts = _best_lag(cc, np.ones((2, 3)), m, 1e-12)
+            assert np.array_equal(shifts, idx - (m - 1))
+            expected = np.take_along_axis(full, idx[..., None], axis=-1)[..., 0]
+            assert np.array_equal(values, expected, equal_nan=True)

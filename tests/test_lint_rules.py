@@ -86,6 +86,14 @@ def test_rpr001_missing_twin_fires(tmp_path):
     assert violations[0].path == "src/repro/distances/dtw.py"
 
 
+def test_rpr001_screened_assignment_needs_dense_twin(tmp_path):
+    source = "def assign_sbd(state, fft_C, norms_C, cols, rng):\n    return None\n"
+    root = build_tree(tmp_path, {"src/repro/core/kshape.py": source})
+    violations = run_lint(root=root)
+    assert [v.code for v in violations] == ["RPR001"]
+    assert "_assign_sbd_naive" in violations[0].message
+
+
 def test_rpr001_suppressed(tmp_path):
     root = build_tree(tmp_path, {"src/repro/distances/dtw.py": "rpr001_suppressed.py"})
     assert lint_codes(root) == []
